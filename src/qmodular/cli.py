@@ -23,7 +23,8 @@ The expression grammar, parsed by recursive descent:
             | 'twist' '(' expr ')'
 
 Scalar factors fold into sum coefficients, so print_expr round-trips
-through this parser for any tree the grammar can produce.
+through this parser for any tree the grammar can produce.  Parentheses and
+twist(...) may nest at most _MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ from .levels import basis, dimension, expand_expr, reduce
 
 _EISENSTEIN_NAMES = {"E4": 4, "E6": 6, "E8": 8, "E10": 10, "E12": 12}
 
+# Nesting cap for '(' and 'twist(': printed registry, anchor and basis
+# expressions nest at most 4 deep, and the recursive descent (and the
+# recursive evaluators after it) stay far from the interpreter's recursion
+# limit at this depth.
+_MAX_DEPTH = 100
+
 
 class _Lexer:
     def __init__(self, src: str):
@@ -101,6 +108,7 @@ class _Lexer:
 class _Parser:
     def __init__(self, src: str):
         self.lex = _Lexer(src)
+        self.depth = 0
 
     def fail(self, message, pos=None):
         raise ParseError(message, self.lex.peek()[2] if pos is None else pos)
@@ -200,9 +208,7 @@ class _Parser:
             return Scalar(self.parse_rational())
         if kind == "op" and text == "(":
             self.lex.next()
-            e = self.parse_sum()
-            self.expect_op(")")
-            return e
+            return self.parse_nested(pos)
         if kind != "name":
             self.fail(f"expected an expression, found {text!r}" if text else "unexpected end of input")
         self.lex.next()
@@ -210,9 +216,7 @@ class _Parser:
             return EisensteinAtom(_EISENSTEIN_NAMES[text], 1)
         if text == "twist":
             self.expect_op("(")
-            e = self.parse_sum()
-            self.expect_op(")")
-            return HalfTwist(e)
+            return HalfTwist(self.parse_nested(pos))
         if text == "Delta":
             (n,) = self.parse_args(1)
             return DeltaRef(n)
@@ -242,6 +246,16 @@ class _Parser:
             return WpAtom(a, b, m) if text == "wp" else WptAtom(a, b, m)
         self.fail(f"unknown name {text!r}", pos)
 
+    def parse_nested(self, pos) -> FormExpr:
+        """The expression after an opening '(' at pos, and its ')'."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
+        e = self.parse_sum()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
+
     def parse_args(self, count: int):
         self.expect_op("(")
         out = [self.expect_int()]
@@ -260,11 +274,6 @@ def parse_expr(src: str) -> FormExpr:
 # ---------------------------------------------------------------------------
 # formatting helpers
 # ---------------------------------------------------------------------------
-
-
-def _rat_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _rat_pair(x):
@@ -297,10 +306,10 @@ def _cmd_expand(args):
         doc = _json_doc(
             {
                 "expr": print_expr(e),
-                "weight": _rat_str(weight(e)),
-                "precision": _rat_str(ser.bound),
+                "weight": str(weight(e)),
+                "precision": str(ser.bound),
                 "terms": [
-                    [_rat_str(Fraction(ser.val + i, ser.den)), _rat_str(c)]
+                    [str(Fraction(ser.val + i, ser.den)), str(c)]
                     for i, c in enumerate(ser.coeffs)
                     if c
                 ],
@@ -367,7 +376,7 @@ def _cmd_reduce(args):
             }
         )
     else:
-        doc = ", ".join(_rat_str(c) for c in coords) + "\n"
+        doc = ", ".join(str(c) for c in coords) + "\n"
     return 0, doc
 
 
@@ -384,7 +393,8 @@ def _cmd_verify(args):
     return (0 if ok else 1), doc
 
 
-# The weight-2028 stress product and ten of its leading coefficients.
+# The weight-2018 stress product, expanded below q^2028, and ten of its
+# leading coefficients.
 # The stored values were cross-checked by two expansions at different
 # working precisions and by an out-of-band reconstruction from scratch
 # (pentagonal-number eta products, classical Weierstrass series, direct
@@ -527,7 +537,11 @@ def main(argv=None) -> int:
     except (QModularError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args.out)
+    try:
+        _emit(doc, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

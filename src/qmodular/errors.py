@@ -1,7 +1,8 @@
 """Exceptions raised by the q-expansion engine.
 
 Everything derives from QModularError so callers can catch the whole
-family at once; the CLI maps them to exit code 1 with a short message.
+family at once; the CLI maps them to exit code 2 with a one-line message,
+except NotInSpan, which exits 1 like a failed verify or bench.
 """
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FractionalExponent, UnknownLevel
-from .qseries import QSeries, _as_fraction, one_series
+from .qseries import QSeries, _as_fraction, one_series, zero_series
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +92,7 @@ class EtaQuotient:
         rel = math.ceil(bound - s)
         if rel <= 0:
             # the leading term already sits at or beyond the bound
-            pn = max(0, math.floor(bound * 2))
-            return QSeries.build(2, pn, (), pn)
+            return zero_series(bound)
         acc = one_series(rel)
         for m, e in self.factors:
             base = euler_product(m, rel)
@@ -104,9 +103,10 @@ class EtaQuotient:
         return acc.shift(s).truncate(bound)
 
     def __str__(self):
+        """The quotient in the expression grammar; "1" when empty."""
         return "*".join(
             (f"eta({m})" if e == 1 else f"eta({m})^{e}") for m, e in self.factors
-        )
+        ) or "1"
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,9 @@ class DeltaRef(FormExpr):
 
 
 @dataclass(frozen=True)
-class WpAtom(FormExpr):
-    """Torsion value of the rescaled p-function: offset a*tau + b on the
-    m-fold cover.  a, b are rationals with denominator dividing 2."""
+class _TorsionAtom(FormExpr):
+    """A torsion value at offset a*tau + b on the m-fold cover.  a, b are
+    rationals with denominator dividing 2."""
 
     a: Fraction
     b: Fraction
@@ -75,18 +75,12 @@ class WpAtom(FormExpr):
         object.__setattr__(self, "m", int(m))
 
 
-@dataclass(frozen=True)
-class WptAtom(FormExpr):
+class WpAtom(_TorsionAtom):
+    """Torsion value of the rescaled p-function."""
+
+
+class WptAtom(_TorsionAtom):
     """Torsion value of the half-period-shifted companion function."""
-
-    a: Fraction
-    b: Fraction
-    m: int
-
-    def __init__(self, a, b, m):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "m", int(m))
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ def weight(e: FormExpr) -> Fraction:
         return Fraction(e.weight)
     if isinstance(e, DeltaRef):
         return Fraction(level_unit(e.level).rho)
-    if isinstance(e, (WpAtom, WptAtom, PhiAtom)):
+    if isinstance(e, (_TorsionAtom, PhiAtom)):
         return Fraction(2)
     if isinstance(e, EtaAtom):
         return e.quotient.weight
@@ -282,20 +276,6 @@ def make_power(base: FormExpr, n: int) -> FormExpr:
 _LVL_SUM, _LVL_PROD, _LVL_POW, _LVL_ATOM = 0, 1, 2, 3
 
 
-def _fmt_rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _eta_str(quotient: EtaQuotient) -> str:
-    parts = []
-    for m, e in quotient.factors:
-        if e == 1:
-            parts.append(f"eta({m})")
-        else:
-            parts.append(f"eta({m})^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 def _level_of(e: FormExpr) -> int:
     if isinstance(e, Sum):
         return _LVL_SUM if len(e.terms) > 1 else _LVL_PROD
@@ -326,25 +306,25 @@ def _term_str(c: Fraction, f: FormExpr) -> str:
     """Render one sum term with a positive-or-zero textual coefficient
     (sign handling is the caller's job)."""
     if isinstance(f, Scalar) and f.value == 1:
-        return _fmt_rat(c)
+        return str(c)
     if c == 1:
         return _render(f, _LVL_PROD)
-    return f"{_fmt_rat(c)}*{_render(f, _LVL_PROD)}"
+    return f"{c}*{_render(f, _LVL_PROD)}"
 
 
 def _to_str(e: FormExpr) -> str:
     if isinstance(e, Scalar):
-        return _fmt_rat(e.value)
+        return str(e.value)
     if isinstance(e, GeneratorRef):
         return f"E({e.weight},{e.level},{e.index})"
     if isinstance(e, DeltaRef):
         return f"Delta({e.level})"
     if isinstance(e, WpAtom):
-        return f"wp({_fmt_rat(e.a)},{_fmt_rat(e.b)},{e.m})"
+        return f"wp({e.a},{e.b},{e.m})"
     if isinstance(e, WptAtom):
-        return f"wpt({_fmt_rat(e.a)},{_fmt_rat(e.b)},{e.m})"
+        return f"wpt({e.a},{e.b},{e.m})"
     if isinstance(e, EtaAtom):
-        return _eta_str(e.quotient)
+        return str(e.quotient)
     if isinstance(e, EisensteinAtom):
         if e.m == 1 and e.k in (4, 6, 8, 10, 12):
             return f"E{e.k}"

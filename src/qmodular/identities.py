@@ -31,7 +31,7 @@ from .expr import (
     make_product,
     weight,
 )
-from .levels import expand_expr
+from .levels import _sym, expand_expr
 from .qseries import HALF
 
 
@@ -92,14 +92,6 @@ def _register(name, lhs, rhs, note, default_prec=200):
     REGISTRY[name] = IdentityCase(name, lhs, rhs, note, default_prec)
 
 
-def _wp(a, b, m):
-    return WpAtom(Fraction(a), Fraction(b), m)
-
-
-def _wpt(a, b, m):
-    return WptAtom(Fraction(a), Fraction(b), m)
-
-
 def _mono(x, i, y, j):
     """x^i * y^j with collapsed trivial powers."""
     fs = []
@@ -115,36 +107,29 @@ def _poly(x, y, coeffs):
     return Sum([(c, _mono(x, i, y, j)) for c, i, j in coeffs])
 
 
-def _sym(x, y, scale=1):
-    """scale * (x^2 + y^2 + x*y)."""
-    return Sum(
-        [(scale, Power(x, 2)), (scale, Power(y, 2)), (scale, Product((x, y)))]
-    )
-
-
 def _build():
     # companion values on the unit lattice and its double
-    V = _wpt(HALF, 0, 1)
-    W = _wpt(0, HALF, 1)
-    T = _wpt(1, 0, 2)
-    U = _wpt(0, HALF, 2)
+    V = WptAtom(HALF, 0, 1)
+    W = WptAtom(0, HALF, 1)
+    T = WptAtom(1, 0, 2)
+    U = WptAtom(0, HALF, 2)
 
     _register(
         "mod1",
-        _wp(1, HALF, 2),
+        WpAtom(1, HALF, 2),
         Sum([(Fraction(-1, 3), U), (Fraction(-1, 3), T)]),
         "p-value at tau+1/2 on the doubled lattice as a companion-value sum",
     )
     _register(
         "wp2wpt-at-half",
         W,
-        Sum([(1, _wp(HALF, 0, 1)), (-1, _wp(HALF, HALF, 1))]),
+        Sum([(1, WpAtom(HALF, 0, 1)), (-1, WpAtom(HALF, HALF, 1))]),
         "companion value at 1/2 as a difference of p-values",
     )
     _register(
         "wp2wpt-at-tau-half",
         V,
-        Sum([(1, _wp(0, HALF, 1)), (-1, _wp(HALF, HALF, 1))]),
+        Sum([(1, WpAtom(0, HALF, 1)), (-1, WpAtom(HALF, HALF, 1))]),
         "companion value at tau/2 as a difference of p-values",
     )
     _register(
@@ -156,14 +141,14 @@ def _build():
     )
     _register(
         "e2-2-twpa",
-        Sum([(-3, _wp(1, 0, 2))]),
+        Sum([(-3, WpAtom(1, 0, 2))]),
         Sum([(1, T), (-2, U)]),
         "the weight-2 level-2 generator as a companion-value combination",
     )
     _register(
         "e4-sym",
         EisensteinAtom(4, 1),
-        _sym(_wp(0, HALF, 1), _wp(HALF, 0, 1), 3),
+        _sym(WpAtom(0, HALF, 1), WpAtom(HALF, 0, 1), 3),
         "E4 as the symmetric square form of two half-period p-values",
     )
     _register(
@@ -278,7 +263,7 @@ def _build():
     _register(
         "delta8-twpa",
         DeltaRef(8),
-        Sum([(Fraction(-1, 16), _wpt(0, HALF, 4))]),
+        Sum([(Fraction(-1, 16), WptAtom(0, HALF, 4))]),
         "the level-8 unit as a scaled companion value",
     )
     _register(
@@ -288,7 +273,7 @@ def _build():
             [
                 (
                     Fraction(1, 16),
-                    Power(Sum([(1, _wp(1, 0, 5)), (-1, _wp(2, 0, 5))]), 2),
+                    Power(Sum([(1, WpAtom(1, 0, 5)), (-1, WpAtom(2, 0, 5))]), 2),
                 )
             ]
         ),
@@ -298,12 +283,12 @@ def _build():
         "delta6-combo",
         DeltaRef(6),
         Sum(
-            [(Fraction(3, 48), _wp(1, 0, 2)), (Fraction(-8, 48), _wp(1, 0, 3))]
-            + [(Fraction(1, 48), _wp(k, 0, 6)) for k in range(1, 6)]
+            [(Fraction(3, 48), WpAtom(1, 0, 2)), (Fraction(-8, 48), WpAtom(1, 0, 3))]
+            + [(Fraction(1, 48), WpAtom(k, 0, 6)) for k in range(1, 6)]
         ),
         "the level-6 unit as a linear combination of torsion values",
     )
-    w1, w2, w3 = _wp(1, 0, 7), _wp(2, 0, 7), _wp(3, 0, 7)
+    w1, w2, w3 = WpAtom(1, 0, 7), WpAtom(2, 0, 7), WpAtom(3, 0, 7)
     _register(
         "e673-h",
         GeneratorRef(7, 6, 3),
@@ -325,44 +310,44 @@ def _build():
     )
     _register(
         "e23-twpa",
-        Sum([(-3, _wp(1, 0, 3))]),
+        Sum([(-3, WpAtom(1, 0, 3))]),
         Sum(
             [
-                (-3, _wpt(HALF, HALF, 3)),
-                (1, _wpt(0, HALF, 3)),
-                (1, _wpt(Fraction(3, 2), 0, 3)),
+                (-3, WptAtom(HALF, HALF, 3)),
+                (1, WptAtom(0, HALF, 3)),
+                (1, WptAtom(Fraction(3, 2), 0, 3)),
             ]
         ),
         "the weight-2 level-3 generator as a companion-value combination",
     )
     _register(
         "e25-fold",
-        Sum([(Fraction(-3, 4), _wp(k, 0, 5)) for k in range(1, 5)]),
-        Sum([(Fraction(-3, 2), _wp(1, 0, 5)), (Fraction(-3, 2), _wp(2, 0, 5))]),
+        Sum([(Fraction(-3, 4), WpAtom(k, 0, 5)) for k in range(1, 5)]),
+        Sum([(Fraction(-3, 2), WpAtom(1, 0, 5)), (Fraction(-3, 2), WpAtom(2, 0, 5))]),
         "folding the level-5 torsion sum by the symmetry k <-> 5-k",
     )
     _register(
         "eis45-sym",
         EisensteinAtom(4, 5),
-        _sym(_wp(0, HALF, 5), _wp(Fraction(5, 2), 0, 5), 3),
+        _sym(WpAtom(0, HALF, 5), WpAtom(Fraction(5, 2), 0, 5), 3),
         "E4 at 5*tau as the symmetric square form of half-period values",
     )
     _register(
         "eis47-sym",
         EisensteinAtom(4, 7),
-        _sym(_wp(0, HALF, 7), _wp(Fraction(7, 2), 0, 7), 3),
+        _sym(WpAtom(0, HALF, 7), WpAtom(Fraction(7, 2), 0, 7), 3),
         "E4 at 7*tau as the symmetric square form of half-period values",
     )
     _register(
         "n9-linear",
-        Sum([(1, _wp(1, 0, 3)), (3, _wp(3, 0, 9))]),
-        Sum([(1, _wp(k, 0, 9)) for k in range(1, 5)]),
+        Sum([(1, WpAtom(1, 0, 3)), (3, WpAtom(3, 0, 9))]),
+        Sum([(1, WpAtom(k, 0, 9)) for k in range(1, 5)]),
         "the linear relation among level-9 torsion values",
     )
     _register(
         "n10-linear",
-        Sum([(2, _wp(5, 0, 10)), (1, _wp(1, 0, 5)), (1, _wp(2, 0, 5))]),
-        Sum([(1, _wp(k, 0, 10)) for k in range(1, 5)]),
+        Sum([(2, WpAtom(5, 0, 10)), (1, WpAtom(1, 0, 5)), (1, WpAtom(2, 0, 5))]),
+        Sum([(1, WpAtom(k, 0, 10)) for k in range(1, 5)]),
         "the linear relation among level-10 torsion values",
     )
     for n in range(2, 11):
@@ -388,13 +373,15 @@ def check(name: str, prec=None) -> IdentityReport:
     if case is None:
         raise UnknownIdentity(f"no identity named {name!r}")
     p = int(prec) if prec is not None else case.default_prec
-    diff = expand_expr(case.lhs, p) - expand_expr(case.rhs, p)
+    lhs = expand_expr(case.lhs, p)
+    rhs = expand_expr(case.rhs, p)
+    diff = lhs - rhs
     for i, c in enumerate(diff.coeffs):
         if c:
             e = Fraction(diff.val + i, diff.den)
-            lhs = expand_expr(case.lhs, p).coefficient(e)
-            rhs = expand_expr(case.rhs, p).coefficient(e)
-            return IdentityReport(name, p, e, Fraction(lhs), Fraction(rhs))
+            return IdentityReport(
+                name, p, e, Fraction(lhs.coefficient(e)), Fraction(rhs.coefficient(e))
+            )
     return IdentityReport(name, p)
 
 

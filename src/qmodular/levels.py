@@ -54,7 +54,7 @@ from .expr import (
     val_lower,
     weight,
 )
-from .qseries import HALF, QSeries, _as_fraction, monomial
+from .qseries import HALF, QSeries, _as_fraction, constant_series, zero_series
 from .weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
 
 __all__ = [
@@ -136,31 +136,29 @@ def dimension(level: int, wt: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _wp(a, b, m) -> WpAtom:
-    return WpAtom(Fraction(a), Fraction(b), m)
-
-
-def _sq_plus_cross(x: FormExpr, y: FormExpr) -> Sum:
-    """x^2 + y^2 + x*y."""
-    return Sum([(1, Power(x, 2)), (1, Power(y, 2)), (1, Product((x, y)))])
+def _sym(x: FormExpr, y: FormExpr, scale=1) -> Sum:
+    """scale * (x^2 + y^2 + x*y)."""
+    return Sum(
+        [(scale, Power(x, 2)), (scale, Power(y, 2)), (scale, Product((x, y)))]
+    )
 
 
 def _build_registry():
     reg = {}
 
     # N = 2
-    e220 = Sum([(-3, _wp(1, 0, 2))])
+    e220 = Sum([(-3, WpAtom(1, 0, 2))])
     reg[(2, 2)] = (e220,)
     reg[(2, 4)] = (Power(GeneratorRef(2, 2, 0), 2), DeltaRef(2))
 
     # N = 3
-    e230 = Sum([(-3, _wp(1, 0, 3))])
+    e230 = Sum([(-3, WpAtom(1, 0, 3))])
     e431 = Sum(
         [
-            (Fraction(3, 8), Power(_wp(1, 0, 3), 2)),
-            (Fraction(-1, 8), Power(_wp(0, HALF, 3), 2)),
-            (Fraction(-1, 8), Power(_wp(Fraction(3, 2), 0, 3), 2)),
-            (Fraction(-1, 8), Product((_wp(0, HALF, 3), _wp(Fraction(3, 2), 0, 3)))),
+            (Fraction(3, 8), Power(WpAtom(1, 0, 3), 2)),
+            (Fraction(-1, 8), Power(WpAtom(0, HALF, 3), 2)),
+            (Fraction(-1, 8), Power(WpAtom(Fraction(3, 2), 0, 3), 2)),
+            (Fraction(-1, 8), Product((WpAtom(0, HALF, 3), WpAtom(Fraction(3, 2), 0, 3)))),
         ]
     )
     reg[(3, 2)] = (e230,)
@@ -175,16 +173,16 @@ def _build_registry():
     reg[(4, 2)] = (WptAtom(1, 0, 2), DeltaRef(4))
 
     # N = 5
-    e250 = Sum([(Fraction(-3, 4), _wp(k, 0, 5)) for k in range(1, 5)])
+    e250 = Sum([(Fraction(-3, 4), WpAtom(k, 0, 5)) for k in range(1, 5)])
     e451 = Sum(
         [
             (
                 Fraction(9, 48),
-                Power(Sum([(1, _wp(1, 0, 5)), (1, _wp(2, 0, 5))]), 2),
+                Power(Sum([(1, WpAtom(1, 0, 5)), (1, WpAtom(2, 0, 5))]), 2),
             ),
             (
                 Fraction(-12, 48),
-                _sq_plus_cross(_wp(0, HALF, 5), _wp(Fraction(5, 2), 0, 5)),
+                _sym(WpAtom(0, HALF, 5), WpAtom(Fraction(5, 2), 0, 5)),
             ),
         ]
     )
@@ -193,13 +191,13 @@ def _build_registry():
 
     # N = 6
     reg[(6, 2)] = (
-        Sum([(-3, _wp(1, 0, 2))]),
-        Sum([(Fraction(-1, 4), _wp(1, 0, 2)), (Fraction(1, 4), _wp(1, 0, 3))]),
+        Sum([(-3, WpAtom(1, 0, 2))]),
+        Sum([(Fraction(-1, 4), WpAtom(1, 0, 2)), (Fraction(1, 4), WpAtom(1, 0, 3))]),
         DeltaRef(6),
     )
 
     # N = 7
-    w1, w2, w3 = _wp(1, 0, 7), _wp(2, 0, 7), _wp(3, 0, 7)
+    w1, w2, w3 = WpAtom(1, 0, 7), WpAtom(2, 0, 7), WpAtom(3, 0, 7)
     sum7 = Sum([(1, w1), (1, w2), (1, w3)])
     e270 = Sum([(-1, w1), (-1, w2), (-1, w3)])
     e471 = Sum(
@@ -207,7 +205,7 @@ def _build_registry():
             (Fraction(1, 8), Power(sum7, 2)),
             (
                 Fraction(-3, 8),
-                _sq_plus_cross(_wp(0, HALF, 7), _wp(Fraction(7, 2), 0, 7)),
+                _sym(WpAtom(0, HALF, 7), WpAtom(Fraction(7, 2), 0, 7)),
             ),
         ]
     )
@@ -245,20 +243,20 @@ def _build_registry():
 
     # N = 9
     reg[(9, 2)] = (
-        Sum([(-3, _wp(3, 0, 9))]),
-        Sum([(Fraction(-1, 4), _wp(1, 0, 3)), (Fraction(1, 4), _wp(3, 0, 9))]),
+        Sum([(-3, WpAtom(3, 0, 9))]),
+        Sum([(Fraction(-1, 4), WpAtom(1, 0, 3)), (Fraction(1, 4), WpAtom(3, 0, 9))]),
         DeltaRef(9),
     )
 
     # N = 10
-    e2_10_0 = Sum([(-3, _wp(5, 0, 10))])
-    e2_10_1 = Sum([(Fraction(-1, 8), _wp(1, 0, 2)), (Fraction(1, 8), _wp(5, 0, 10))])
+    e2_10_0 = Sum([(-3, WpAtom(5, 0, 10))])
+    e2_10_1 = Sum([(Fraction(-1, 8), WpAtom(1, 0, 2)), (Fraction(1, 8), WpAtom(5, 0, 10))])
     e2_10_2 = Sum(
         [
-            (Fraction(1, 16), _wp(1, 0, 2)),
-            (Fraction(-2, 16), _wp(1, 0, 5)),
-            (Fraction(-2, 16), _wp(2, 0, 5)),
-            (Fraction(3, 16), _wp(5, 0, 10)),
+            (Fraction(1, 16), WpAtom(1, 0, 2)),
+            (Fraction(-2, 16), WpAtom(1, 0, 5)),
+            (Fraction(-2, 16), WpAtom(2, 0, 5)),
+            (Fraction(3, 16), WpAtom(5, 0, 10)),
         ]
     )
     g0, g1, g2 = (GeneratorRef(10, 2, s) for s in range(3))
@@ -316,15 +314,6 @@ def _resolve_ref(level: int, wt: int, index: int) -> FormExpr:
 # ---------------------------------------------------------------------------
 
 
-def _zero_at(bound: Fraction) -> QSeries:
-    n2 = max(0, math.floor(bound * 2))
-    return QSeries.build(2, n2, (), n2)
-
-
-def _const_at(value, bound: Fraction) -> QSeries:
-    return monomial(Fraction(value), 0, 1, max(1, math.ceil(bound)))
-
-
 def _fold_eta(factors):
     """Split product factors into one merged EtaAtom (or None) plus the rest.
 
@@ -349,10 +338,10 @@ def _expand(e: FormExpr, bound: Fraction) -> QSeries:
     # nothing below the bound: answer without recursing
     v = val_lower(e)
     if bound <= v:
-        return _zero_at(bound)
+        return zero_series(bound)
 
     if isinstance(e, Scalar):
-        return _const_at(e.value, bound)
+        return constant_series(e.value, bound)
     if isinstance(e, WpAtom):
         return wp_hat(e.a, e.b, e.m, math.ceil(bound))
     if isinstance(e, WptAtom):
@@ -362,8 +351,6 @@ def _expand(e: FormExpr, bound: Fraction) -> QSeries:
     if isinstance(e, EisensteinAtom):
         return eisenstein(e.k, e.m, bound)
     if isinstance(e, PhiAtom):
-        if not 2 <= e.level <= 10:
-            raise UnknownLevel(f"Phi_N needs 2 <= N <= 10, got {e.level}")
         return phi_level(e.level, bound, e.mode)
     if isinstance(e, DeltaRef):
         return delta(e.level, bound)
@@ -373,7 +360,7 @@ def _expand(e: FormExpr, bound: Fraction) -> QSeries:
         return _expand(e.child, bound).half_twist()
     if isinstance(e, Sum):
         if not e.terms:
-            return _zero_at(bound)
+            return zero_series(bound)
         acc = None
         for c, f in e.terms:
             t = _expand(f, bound).scale(c)
@@ -393,14 +380,9 @@ def _expand(e: FormExpr, bound: Fraction) -> QSeries:
         return acc
     if isinstance(e, Power):
         if e.exponent == 0:
-            return _const_at(1, bound)
+            return constant_series(1, bound)
         if isinstance(e.base, EtaAtom):
-            merged = EtaAtom(
-                EtaQuotient(
-                    [(m, x * e.exponent) for m, x in e.base.quotient.factors]
-                )
-            )
-            return _expand(merged, bound)
+            return _expand(_fold_eta((e,))[0], bound)
         lo = val_lower(e.base)
         t = _expand(e.base, bound - (e.exponent - 1) * lo)
         return t.pow(e.exponent)

@@ -127,17 +127,19 @@ class QSeries:
 
     # -- rescaling helpers -------------------------------------------------
 
+    def _spread(self, g: int):
+        """(val, coeffs, prec) with every exponent numerator multiplied by g:
+        each coefficient followed by g - 1 zeros."""
+        cs = [0] * (len(self.coeffs) * g)
+        cs[::g] = self.coeffs
+        return self.val * g, cs, self.prec * g
+
     def _rescale(self, den: int) -> "QSeries":
         """Rewrite on a finer exponent grid (den a multiple of self.den)."""
         if den == self.den:
             return self
-        g = den // self.den
-        assert g * self.den == den
-        n = len(self.coeffs)
-        cs = [0] * (n * g)
-        for i, c in enumerate(self.coeffs):
-            cs[i * g] = c
-        return QSeries(den, self.val * g, tuple(cs), self.prec * g)
+        val, cs, prec = self._spread(den // self.den)
+        return QSeries(den, val, tuple(cs), prec)
 
     # -- ring operations ----------------------------------------------------
 
@@ -147,14 +149,11 @@ class QSeries:
         prec = min(a.prec, b.prec)
         val = min(a.val, b.val, prec)
         out = [0] * (prec - val)
-        for i, c in enumerate(a.coeffs):
-            j = a.val + i - val
-            if j < len(out):
-                out[j] += c
-        for i, c in enumerate(b.coeffs):
-            j = b.val + i - val
-            if j < len(out):
-                out[j] += c
+        for s in (a, b):
+            for i, c in enumerate(s.coeffs):
+                j = s.val + i - val
+                if j < len(out):
+                    out[j] += c
         return QSeries.build(den, val, out, prec)
 
     def __neg__(self) -> "QSeries":
@@ -242,11 +241,7 @@ class QSeries:
             raise ValueError("substitution power must be a positive integer")
         if m == 1:
             return self
-        n = len(self.coeffs)
-        cs = [0] * (n * m)
-        for i, c in enumerate(self.coeffs):
-            cs[i * m] = c
-        return QSeries.build(self.den, self.val * m, cs, self.prec * m)
+        return QSeries.build(self.den, *self._spread(m))
 
     def half_twist(self) -> "QSeries":
         """Send q^(1/2) to -q^(1/2): negate coefficients at odd numerators.
@@ -306,15 +301,6 @@ class QSeries:
         out.append("+ " + tail)
         return " ".join(out)
 
-    def coefficient_pairs(self):
-        """All stored coefficients from the valuation up to the bound, as
-        (numerator, denominator) pairs of ints (for JSON payloads)."""
-        pairs = []
-        for c in self.coeffs:
-            f = Fraction(c)
-            pairs.append((f.numerator, f.denominator))
-        return pairs
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -330,7 +316,7 @@ def _fmt_exp(e: Fraction) -> str:
 
 def _fmt_term(c: Fraction, e: Fraction) -> str:
     if e == 0:
-        return str(c) if c.denominator == 1 else f"{c}"
+        return str(c)
     if e == 1:
         q = "q"
     else:
@@ -366,16 +352,23 @@ def monomial(coeff, p, q=1, prec=None) -> QSeries:
 
 
 def zero_series(prec) -> QSeries:
-    """The zero-so-far series at an integer-grid bound."""
-    b = _as_fraction(prec)
-    p = math.ceil(b)
-    if p < 0:
-        raise InvalidPrecision(f"negative bound {prec}")
-    return QSeries(1, p, (), p)
+    """The zero-so-far series: nothing below exponent prec is nonzero.
+
+    The bound is rounded up to the half-integer grid, as truncate and
+    monomial round theirs, so it never falls below prec."""
+    p = math.ceil(_as_fraction(prec) * 2)
+    return QSeries.build(2, p, (), p)
 
 
 def one_series(prec) -> QSeries:
     return monomial(1, 0, 1, prec)
+
+
+def constant_series(value, prec) -> QSeries:
+    """The constant value below exponent prec on the integer grid; the
+    zero-so-far series at 0 when prec <= 0."""
+    p = max(0, math.ceil(_as_fraction(prec)))
+    return QSeries.build(1, 0, [value] + [0] * (p - 1) if p else [], p)
 
 
 # -- arithmetic generating series --------------------------------------------
@@ -403,50 +396,53 @@ def sigma_series(k: int, m: int, prec: int) -> QSeries:
     return QSeries.build(1, m, out, prec)
 
 
-def _lambert_acc(arr, den: int, c: Fraction, eps: int, w) -> None:
-    """Accumulate w * (-4) * sum_{d>=1} d eps^d q^(c d) into arr, whose slot
-    k holds the coefficient of q^(k/den)."""
-    step = int(c * den)
-    assert step > 0
-    top = len(arr)
-    k = step
-    d = 1
-    while k < top:
-        t = -4 * d * w
-        if eps == -1 and (d & 1):
-            t = -t
-        arr[k] += t
-        d += 1
-        k += step
+def _check_phase(b) -> Fraction:
+    """b as a Fraction; it must be 0 or 1/2."""
+    b = _as_fraction(b)
+    if b not in (0, HALF):
+        raise ValueError(f"phase must be 0 or 1/2, got {b}")
+    return b
+
+
+def _add_s(arr, den: int, c, b, w=1) -> None:
+    """Add w * S(c, b) into arr, whose slot k holds the coefficient of
+    q^(k/den); terms at or beyond the end of arr are dropped.
+
+    S(c, b) is the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
+    factor: -4 sum_{d>=1} d eps^d q^(|c| d) with eps = e^(2 pi i b) for
+    c != 0 (S is even in c), the constant 1 at c = 0, b = 1/2, and a pole at
+    c = b = 0.  b is 0 or 1/2 and c * den must be an integer."""
+    if c == 0:
+        if b == 0:
+            raise PoleAtArgument("1/sin^2 at the lattice origin")
+        if arr:
+            arr[0] += w
+        return
+    step = abs(c) * den
+    assert step.denominator == 1, (c, den)
+    step = int(step)
+    t = -4 * w
+    alternating = b != 0
+    for d, k in enumerate(range(step, len(arr), step), 1):
+        arr[k] += -t * d if alternating and d & 1 else t * d
 
 
 @lru_cache(maxsize=None)
 def inv_sin2(c, b, prec) -> QSeries:
-    """Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a factor:
-    for c > 0 this is -4 sum_{d>=1} d eps^d q^(c d) with eps = e^(2 pi i b),
-    extended evenly to c < 0; for c == 0 it is the constant 1 when b = 1/2
-    and a pole when b = 0.
+    """S(c, b), the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
+    factor (see _add_s), below exponent prec.
 
     c is a rational with denominator dividing 2; b is 0 or 1/2."""
     c = _as_fraction(c)
-    b = _as_fraction(b)
-    if b not in (0, HALF):
-        raise ValueError(f"phase must be 0 or 1/2, got {b}")
-    if c < 0:
-        c = -c
-    if c == 0:
-        if b == 0:
-            raise PoleAtArgument("1/sin^2 at the lattice origin")
-        return monomial(1, 0, 1, prec)
+    b = _check_phase(b)
     if c.denominator not in (1, 2):
         raise FractionalExponent(f"frequency {c} not in (1/2)Z")
     den = c.denominator
-    bnd = _as_fraction(prec)
-    pn = math.ceil(bnd * den)
+    pn = math.ceil(_as_fraction(prec) * den)
     if pn < 0:
         raise InvalidPrecision(f"negative bound {prec}")
     arr = [0] * pn
-    _lambert_acc(arr, den, c, 1 if b == 0 else -1, 1)
+    _add_s(arr, den, c, b)
     return QSeries.build(den, 0, arr, pn)
 
 

@@ -8,10 +8,10 @@ Two families, both weight-2 objects on the m-fold cover:
 
       -1/3 + S(a, b) + sum_{n>=1} [ S(n m + a, b) + S(n m - a, b) - 2 S(n m, 0) ]
 
-  where S(c, b) is the Lambert expansion of 1/sin^2(pi(c tau + b)) from
-  qseries.inv_sin2 (S(0, 1/2) = 1, S at the origin is a pole, and S is even
-  in c).  Domain: m >= 1, 0 <= a < m with 2a integral, b in {0, 1/2}, and
-  (a, b) != (0, 0).
+  where S(c, b) is the Lambert expansion of 1/sin^2(pi(c tau + b)) that
+  qseries._add_s accumulates (S(0, 1/2) = 1, S at the origin is a pole, and
+  S is even in c).  Domain: m >= 1, 0 <= a < m with 2a integral,
+  b in {0, 1/2}, and (a, b) != (0, 0).
 
 * wpt_hat(a, b, m): the half-period-shifted companion
 
@@ -20,9 +20,8 @@ Two families, both weight-2 objects on the m-fold cover:
   for |a| <= m/2, 2a integral, b in {0, 1/2}; the argument is a pole exactly
   when |a| = m/2 and b = 1/2.
 
-Also here: classical Eisenstein series E_k(m tau), the weight-2 level
-series Phi_N in both of its presentations, and an independent product-form
-expansion of wpt_hat(1/2-point) used as a test oracle.
+Also here: classical Eisenstein series E_k(m tau) and the weight-2 level
+series Phi_N in both of its presentations.
 """
 
 from __future__ import annotations
@@ -35,19 +34,13 @@ from .errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
 from .qseries import (
     HALF,
     QSeries,
+    _add_s,
     _as_fraction,
-    _lambert_acc,
+    _check_phase,
     bernoulli,
-    monomial,
-    one_series,
+    constant_series,
     sigma_series,
 )
-
-
-def _check_phase(b: Fraction) -> Fraction:
-    if b not in (0, HALF):
-        raise ValueError(f"phase must be 0 or 1/2, got {b}")
-    return Fraction(b)
 
 
 def _torsion_den(a: Fraction) -> int:
@@ -60,7 +53,7 @@ def _torsion_den(a: Fraction) -> int:
 def wp_hat(a, b, m: int, prec) -> QSeries:
     """q-expansion of the rescaled p-function torsion value (see module doc)."""
     a = _as_fraction(a)
-    b = _check_phase(_as_fraction(b))
+    b = _check_phase(b)
     if m < 1:
         raise ValueError(f"cover index must be >= 1, got {m}")
     if not (0 <= a < m):
@@ -71,23 +64,16 @@ def wp_hat(a, b, m: int, prec) -> QSeries:
     bound = _as_fraction(prec)
     pn = max(0, math.ceil(bound * den))
     arr = [0] * pn
-    eps = 1 if b == 0 else -1
-    const = Fraction(-1, 3)
-    if a == 0:
-        const += 1  # S(0, 1/2)
-    elif a < bound:
-        _lambert_acc(arr, den, a, eps, 1)
+    _add_s(arr, den, a, b)
     n = 1
     while n * m - a < bound:
         c = n * m
-        if c + a < bound:
-            _lambert_acc(arr, den, c + a, eps, 1)
-        _lambert_acc(arr, den, c - a, eps, 1)
-        if c < bound:
-            _lambert_acc(arr, den, Fraction(c), 1, -2)
+        _add_s(arr, den, c + a, b)
+        _add_s(arr, den, c - a, b)
+        _add_s(arr, den, c, 0, -2)
         n += 1
-    if pn > 0:
-        arr[0] += const
+    if arr:
+        arr[0] += Fraction(-1, 3)
     return QSeries.build(den, 0, arr, pn)
 
 
@@ -95,7 +81,7 @@ def wp_hat(a, b, m: int, prec) -> QSeries:
 def wpt_hat(a, b, m: int, prec) -> QSeries:
     """q-expansion of the half-period-shifted companion (see module doc)."""
     a = _as_fraction(a)
-    b = _check_phase(_as_fraction(b))
+    b = _check_phase(b)
     if m < 1:
         raise ValueError(f"cover index must be >= 1, got {m}")
     if not (-Fraction(m, 2) <= a <= Fraction(m, 2)):
@@ -107,9 +93,7 @@ def wpt_hat(a, b, m: int, prec) -> QSeries:
     bound = _as_fraction(prec)
     pn = max(0, math.ceil(bound * den))
     arr = [0] * pn
-    bp = HALF if b == 0 else Fraction(0)  # b + 1/2 mod 1
-    eps_main = 1 if bp == 0 else -1
-    const = 0
+    bp = HALF - b  # b + 1/2 mod 1
     for sign in (1, -1):
         n = 0 if sign == 1 else -1
         while True:
@@ -117,15 +101,9 @@ def wpt_hat(a, b, m: int, prec) -> QSeries:
             cmain = base + a
             if abs(cmain) >= bound and abs(base) >= bound:
                 break
-            if cmain == 0:
-                const += 1  # S(0, 1/2); bp = 0 was excluded by the pole check
-            elif abs(cmain) < bound:
-                _lambert_acc(arr, den, abs(cmain), eps_main, 1)
-            if abs(base) < bound:
-                _lambert_acc(arr, den, abs(base), -1, -1)
+            _add_s(arr, den, cmain, bp)  # cmain = 0 only with bp = 1/2
+            _add_s(arr, den, base, HALF, -1)
             n += sign
-    if pn > 0 and const:
-        arr[0] += const
     return QSeries.build(den, 0, arr, pn)
 
 
@@ -148,10 +126,9 @@ def eisenstein(k: int, m: int, prec) -> QSeries:
         raise UnsupportedWeight(f"Eisenstein weight must be even and >= 4, got {k}")
     if m < 1:
         raise ValueError(f"multiplier must be >= 1, got {m}")
-    bound = _as_fraction(prec)
-    pn = max(0, math.ceil(bound))
+    pn = max(0, math.ceil(_as_fraction(prec)))
     coef = Fraction(-2 * k) / bernoulli(k)
-    return one_series(max(pn, 1)).truncate(max(bound, 0)) + sigma_series(k - 1, m, pn).scale(coef)
+    return constant_series(1, pn) + sigma_series(k - 1, m, pn).scale(coef)
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +161,7 @@ def phi_level(N: int, prec, mode: str = "weierstrass") -> QSeries:
             acc = t if acc is None else acc + t
         return acc.scale(Fraction(-3, N - 1))
     if mode == "divisor":
-        bound = _as_fraction(prec)
-        pn = max(0, math.ceil(bound))
+        pn = max(0, math.ceil(_as_fraction(prec)))
         s = sigma_series(1, 1, pn) - sigma_series(1, N, pn).scale(N)
-        return one_series(max(pn, 1)).truncate(max(bound, 0)) + s.scale(Fraction(24, N - 1))
+        return constant_series(1, pn) + s.scale(Fraction(24, N - 1))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# independent product-form oracle
-# ---------------------------------------------------------------------------
-
-
-def twpa_half_product(prec) -> QSeries:
-    """Product-form expansion of wpt_hat at the half-period on the full lattice:
-
-        -16 q^(1/2) prod_{j>=1} (1-q^(2j))^4
-                    prod_{j odd} (1-q^(j/2))^4
-                    [ prod_{j>=1} (1+q^j)^2 / prod_{j odd} (1-q^(j/2))^2 ]^2
-
-    built literally, binomial by binomial, as an independent cross-check of
-    the Lambert-sum route."""
-    bound = _as_fraction(prec)
-    a = one_series(bound)  # prod (1 - q^(2j))
-    j = 2
-    while j < bound:
-        a = a * (one_series(bound) - monomial(1, j, 1, bound))
-        j += 2
-    b = one_series(bound)  # prod over odd j of (1 - q^(j/2))
-    j = 1
-    while Fraction(j, 2) < bound:
-        b = b * (one_series(bound) - monomial(1, j, 2, bound))
-        j += 2
-    c = one_series(bound)  # prod (1 + q^j)
-    j = 1
-    while j < bound:
-        c = c * (one_series(bound) + monomial(1, j, 1, bound))
-        j += 1
-    bracket = c.pow(2) * b.pow(2).invert()
-    tail = a.pow(4) * b.pow(4) * bracket.pow(2)
-    return tail.scale(-16).shift(HALF).truncate(bound)

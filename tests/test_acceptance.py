@@ -83,8 +83,8 @@ ANCHORS = [
     ("E630", "-27*wp(1,0,3)^3", 5, ((0, 1), (1, 36), (2, 540), (3, 4356), (4, 20556))),
     ("E631", "-3/8*wp(1,0,3)*(3*wp(1,0,3)^2 - wp(0,1/2,3)^2 - wp(3/2,0,3)^2 - wp(0,1/2,3)*wp(3/2,0,3))", 7, ((1, 1), (2, 21), (3, 171), (4, 733), (5, 2166), (6, 5535))),
     ("delta3", "Delta(3)", 7, ((2, 1), (3, 6), (4, 27), (5, 80), (6, 207))),
-    # level 4 (the q^3 coefficient of the first unit is -32; see the ledger
-    # note on the sign slip in the circulated table)
+    # level 4 (the q^3 coefficient of the first unit is -32; a circulated
+    # table prints it with the wrong sign)
     ("E240", "wpt(1,0,2)", 5, ((0, 1), (1, -8), (2, 24), (3, -32), (4, 24))),
     ("E241-delta4", "-1/16*wpt(0,1/2,2)", 11, ((1, 1), (3, 4), (5, 6), (7, 8), (9, 13))),
     ("E220-inline", "E(2,2,0)", 2, ((0, 1), (1, 24))),
@@ -204,8 +204,8 @@ def test_criterion_2_dimension_table():
 # different working precisions and an out-of-band reconstruction from scratch
 # (pentagonal-number eta products, classical series, windowed convolution).
 # A circulated figure ends the row with ...726432; the reconstructions all
-# yield ...726336, so that variant is recorded as an erratum in the ledger
-# and the verified value is asserted here.
+# yield ...726336, so that variant is treated as an erratum: the verified
+# value is asserted here, and reproducing the variant fails the check.
 STRESS_WINDOW = [
     1,
     -672,
@@ -237,7 +237,7 @@ def test_criterion_3_stress_product():
         failures,
         "ten coefficients q^2018..q^2027 verified "
         f"(nine as circulated; the tenth is {STRESS_WINDOW[-1]}, "
-        f"the {REFUTED_LAST} variant is a ledgered erratum)",
+        f"the {REFUTED_LAST} variant is a known erratum)",
         t0,
         budget=60,
     )

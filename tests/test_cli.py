@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmodular import identities
+from qmodular import cli, identities
 from qmodular.cli import main, parse_expr
 from qmodular.errors import ParseError
 from qmodular.expr import (
@@ -382,6 +382,30 @@ def test_exit_code_verify_failure(monkeypatch):
     assert out.startswith("broken-for-test: FAIL at q^0")
     code, out, _ = run("verify", "--prec", "10")
     assert code == 1
+
+
+@pytest.mark.parametrize("opening", ["(", "twist("])
+def test_exit_code_deep_nesting(opening):
+    src = opening * 3000 + "E4" + ")" * 3000
+    code, out, err = run("expand", "--expr", src, "--prec", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression nested deeper than")
+    assert err.count("\n") == 1 and "position" in err
+
+
+def test_parse_nesting_cap_boundary():
+    depth = cli._MAX_DEPTH
+    assert parse_expr("(" * depth + "E4" + ")" * depth) == EisensteinAtom(4, 1)
+    with pytest.raises(ParseError):
+        parse_expr("(" * (depth + 1) + "E4" + ")" * (depth + 1))
+
+
+def test_exit_code_unwritable_out(tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run("expand", "--expr", "E4", "--prec", "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_unknown_subcommand_exits_via_argparse():

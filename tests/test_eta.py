@@ -121,6 +121,9 @@ def test_expand_matches_naive_half_grid():
 def test_expand_beyond_window_is_zero_so_far():
     f = EtaQuotient([(1, 24)]).expand(1)  # leading term q is out of reach
     assert f.is_zero and f.bound == 1
+    # a bound off the half-integer grid is rounded up, never down
+    f = EtaQuotient([(1, 24)]).expand(Fraction(1, 3))
+    assert f.is_zero and f.bound == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmodular import identities, levels
 from qmodular.errors import UnknownIdentity
 from qmodular.expr import GeneratorRef, Sum
 from qmodular.identities import REGISTRY, IdentityCase, check, check_all, names
@@ -146,6 +147,26 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
     assert not r.passed
     assert r.first_bad_exponent is not None
     assert r.lhs_coefficient != r.rhs_coefficient
+
+
+def test_failing_check_expands_each_side_once(monkeypatch):
+    # corrupt a registered generator, as acceptance criterion 7 does
+    row = levels._REGISTRY[(7, 6)]
+    terms = list(row[3].terms)
+    terms[1] = (terms[1][0] + Fraction(1, 1000003), terms[1][1])
+    monkeypatch.setitem(levels._REGISTRY, (7, 6), row[:3] + (Sum(terms),) + row[4:])
+    calls = []
+    expand = identities.expand_expr
+
+    def counting_expand(e, prec):
+        calls.append(e)
+        return expand(e, prec)
+
+    monkeypatch.setattr(identities, "expand_expr", counting_expand)
+    r = check("e673-h", 60)
+    assert not r.passed
+    case = REGISTRY["e673-h"]
+    assert calls == [case.lhs, case.rhs]
 
 
 def test_check_all_reports_every_case():

@@ -424,6 +424,13 @@ def test_expand_expr_rejects_negative_bound():
         expand_expr(DeltaRef(2), -1)
 
 
+@pytest.mark.parametrize("e", [DeltaRef(1), DeltaRef(2), EtaAtom([(1, 24)])])
+def test_expand_below_the_valuation_rounds_the_bound_up(e):
+    # the zero-so-far answer keeps a bound of at least the one requested,
+    # rounded up to the half-integer grid
+    assert expand_expr(e, Fraction(1, 3)).to_text() == "O(q^(1/2))"
+
+
 def test_expand_scalar_and_zero_floor():
     f = expand_expr(Scalar(Fraction(5, 3)), 3)
     assert series_coeff_map(f) == {Fraction(0): Fraction(5, 3)}

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmodular.errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
-from qmodular.qseries import HALF
+from qmodular.qseries import HALF, QSeries, _as_fraction, monomial, one_series
 from qmodular.weierstrass import (
     eisenstein,
     phi_level,
-    twpa_half_product,
     wp_hat,
     wpt_hat,
     wpt_valuation,
@@ -143,6 +142,36 @@ def test_wpt_edge_offset_with_zero_phase_is_constant_one_leading():
 # ---------------------------------------------------------------------------
 # product-form oracle for the half-period value
 # ---------------------------------------------------------------------------
+
+
+def twpa_half_product(prec) -> QSeries:
+    """Product-form expansion of wpt_hat at the half-period on the full lattice:
+
+        -16 q^(1/2) prod_{j>=1} (1-q^(2j))^4
+                    prod_{j odd} (1-q^(j/2))^4
+                    [ prod_{j>=1} (1+q^j)^2 / prod_{j odd} (1-q^(j/2))^2 ]^2
+
+    built literally, binomial by binomial, as an independent cross-check of
+    the Lambert-sum route."""
+    bound = _as_fraction(prec)
+    a = one_series(bound)  # prod (1 - q^(2j))
+    j = 2
+    while j < bound:
+        a = a * (one_series(bound) - monomial(1, j, 1, bound))
+        j += 2
+    b = one_series(bound)  # prod over odd j of (1 - q^(j/2))
+    j = 1
+    while Fraction(j, 2) < bound:
+        b = b * (one_series(bound) - monomial(1, j, 2, bound))
+        j += 2
+    c = one_series(bound)  # prod (1 + q^j)
+    j = 1
+    while j < bound:
+        c = c * (one_series(bound) + monomial(1, j, 1, bound))
+        j += 1
+    bracket = c.pow(2) * b.pow(2).invert()
+    tail = a.pow(4) * b.pow(4) * bracket.pow(2)
+    return tail.scale(-16).shift(HALF).truncate(bound)
 
 
 def test_half_period_product_oracle():
