@@ -24,7 +24,8 @@ The expression grammar, parsed by recursive descent:
 
 Scalar factors fold into sum coefficients, so print_expr round-trips
 through this parser for any tree the grammar can produce.  Parentheses and
-twist(...) may nest at most _MAX_DEPTH deep.
+twist(...) may nest at most _MAX_DEPTH deep, '^' exponents are at most
+_MAX_EXPONENT, and --prec is at most _MAX_PREC.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import time
 from fractions import Fraction
 
 from . import identities
-from .errors import NotInSpan, ParseError, QModularError
+from .errors import InvalidPrecision, NotInSpan, ParseError, QModularError
 from .eta import DELTA_TABLE
 from .expr import (
     DeltaRef,
@@ -70,6 +71,12 @@ _EISENSTEIN_NAMES = {"E4": 4, "E6": 6, "E8": 8, "E10": 10, "E12": 12}
 # recursive evaluators after it) stay far from the interpreter's recursion
 # limit at this depth.
 _MAX_DEPTH = 100
+
+# Size caps: the '^' exponent and --prec size the coefficient lists, so one
+# request could otherwise allocate without limit.  Both sit far above the
+# largest sizes in use (the stress product's ^336 below q^2028).
+_MAX_EXPONENT = 10_000
+_MAX_PREC = 100_000
 
 
 class _Lexer:
@@ -179,7 +186,10 @@ class _Parser:
     def parse_factor(self) -> FormExpr:
         base = self.parse_atom()
         if self.eat_op("^"):
+            pos = self.lex.peek()[2]
             n = self.expect_int()
+            if n > _MAX_EXPONENT:
+                self.fail(f"exponent {n} exceeds the cap {_MAX_EXPONENT}", pos)
             if isinstance(base, Scalar):
                 return Scalar(base.value**n)
             return Power(base, n)
@@ -530,6 +540,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if (getattr(args, "prec", None) or 0) > _MAX_PREC:
+            raise InvalidPrecision(f"--prec {args.prec} exceeds the cap {_MAX_PREC}")
         code, doc = args.run(args)
     except NotInSpan as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -342,10 +342,11 @@ def _expand(e: FormExpr, bound: Fraction) -> QSeries:
 
     if isinstance(e, Scalar):
         return constant_series(e.value, bound)
+    # torsion atoms are cached by ceil(bound); expand_expr truncates the rest
     if isinstance(e, WpAtom):
         return wp_hat(e.a, e.b, e.m, math.ceil(bound))
     if isinstance(e, WptAtom):
-        return wpt_hat(e.a, e.b, e.m, bound)
+        return wpt_hat(e.a, e.b, e.m, math.ceil(bound))
     if isinstance(e, EtaAtom):
         return e.quotient.expand(bound)
     if isinstance(e, EisensteinAtom):

@@ -197,43 +197,53 @@ class QSeries:
         return QSeries.build(den, val, out, prec)
 
     def pow(self, n: int) -> "QSeries":
-        """n-th power, n >= 0, by repeated squaring.
+        """n-th power for any integer n, by J.C.P. Miller's recurrence
+        (Knuth, TAOCP vol. 2, 4.7): g = f^n satisfies
 
-        pow(f, 0) is 1 carried to f's *relative* precision (prec - val
-        exponent steps above 0); raises InvalidPrecision when that window
-        is empty."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("pow exponent must be a nonnegative integer")
+            j f_0 g_j = sum_{k=1..j} ((n+1) k - j) f_k g_(j-k).
+
+        It runs on the integer numerators d*f, d the lcm of the coefficient
+        denominators, as (d f)^n / d^n, and costs one product per known
+        term and nonzero f_k: O(L sqrt(L)) for an L-term Euler factor.
+        The result keeps f's relative precision (prec - val steps).
+
+        pow(f, 0) is 1 carried to that relative precision and raises
+        InvalidPrecision when the window is empty.  A zero-so-far f gives
+        zero so far at n * prec for n > 0 and raises NotInvertible for
+        n < 0."""
+        if not isinstance(n, int):
+            raise ValueError("pow exponent must be an integer")
         if n == 0:
             return monomial(1, 0, 1, Fraction(self.prec - self.val, self.den))
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n == 0:
-                return result
-            base = base * base
+        if not self.coeffs:
+            if n < 0:
+                raise NotInvertible("leading coefficient unknown (zero so far)")
+            return QSeries.build(self.den, n * self.prec, (), n * self.prec)
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        f = [c.numerator * (d // c.denominator) for c in self.coeffs]
+        f0 = f[0]
+        g = [_norm_coeff(Fraction(f0) ** n)]
+        # an int g_0 (f0 ** n, or a unit f0) makes every g_j an integer
+        exact = type(g[0]) is int
+        terms = [(k, c) for k, c in enumerate(f) if k and c]
+        m = n + 1
+        for j in range(1, len(f)):
+            s = 0
+            for k, c in terms:
+                if k > j:
+                    break
+                s += (m * k - j) * c * g[j - k]
+            g.append(s // (j * f0) if exact else Fraction(s, j * f0))
+        if d > 1:
+            scale = Fraction(d) ** -n
+            g = [x * scale for x in g]
+        return QSeries.build(self.den, n * self.val, g, n * self.val + len(f))
 
     __pow__ = pow
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the leading coefficient must be known."""
-        if not self.coeffs:
-            raise NotInvertible("leading coefficient unknown (zero so far)")
-        c = self.coeffs
-        n = len(c)
-        u0 = Fraction(1) / c[0]
-        u = [u0] + [0] * (n - 1)
-        for j in range(1, n):
-            s = 0
-            for i in range(1, min(j, len(c) - 1) + 1):
-                ci = c[i]
-                if ci != 0:
-                    s += ci * u[j - i]
-            u[j] = -u0 * s
-        return QSeries.build(self.den, -self.val, u, self.prec - 2 * self.val)
+        return self.pow(-1)
 
     def substitute_power(self, m: int) -> "QSeries":
         """Replace q by q^m (m >= 1): exponents scale by m."""
@@ -427,7 +437,6 @@ def _add_s(arr, den: int, c, b, w=1) -> None:
         arr[k] += -t * d if alternating and d & 1 else t * d
 
 
-@lru_cache(maxsize=None)
 def inv_sin2(c, b, prec) -> QSeries:
     """S(c, b), the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
     factor (see _add_s), below exponent prec.

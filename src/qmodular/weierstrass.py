@@ -149,11 +149,12 @@ def phi_level(N: int, prec, mode: str = "weierstrass") -> QSeries:
     """
     if not 2 <= N <= 10:
         raise UnknownLevel(f"Phi_N needs 2 <= N <= 10, got {N}")
+    pn = max(0, math.ceil(_as_fraction(prec)))
     if mode == "weierstrass":
         h = N // 2
         acc = None
         for k in range(1, h + 1):
-            t = wp_hat(Fraction(k), Fraction(0), N, prec)
+            t = wp_hat(Fraction(k), Fraction(0), N, pn)
             if N % 2 == 0 and k == h:
                 pass  # the middle torsion point is its own partner
             else:
@@ -161,7 +162,6 @@ def phi_level(N: int, prec, mode: str = "weierstrass") -> QSeries:
             acc = t if acc is None else acc + t
         return acc.scale(Fraction(-3, N - 1))
     if mode == "divisor":
-        pn = max(0, math.ceil(_as_fraction(prec)))
         s = sigma_series(1, 1, pn) - sigma_series(1, N, pn).scale(N)
         return constant_series(1, pn) + s.scale(Fraction(24, N - 1))
     raise ValueError(f"unknown mode {mode!r}")

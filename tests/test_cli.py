@@ -400,6 +400,30 @@ def test_parse_nesting_cap_boundary():
         parse_expr("(" * (depth + 1) + "E4" + ")" * (depth + 1))
 
 
+def test_exit_code_exponent_cap():
+    cap = cli._MAX_EXPONENT
+    assert parse_expr(f"Delta(1)^{cap}") == Power(DeltaRef(1), cap)
+    code, out, err = run("expand", "--expr", f"Delta(1)^{cap + 1}", "--prec", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: exponent {cap + 1} exceeds the cap {cap} (at position 9)\n"
+    code, out, err = run("expand", "--expr", f"2^{cap + 1}")
+    assert code == 2 and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["expand", "basis", "reduce", "verify"])
+def test_exit_code_prec_cap(command):
+    cap = cli._MAX_PREC
+    extra = {
+        "expand": ["--expr", "E4"],
+        "basis": ["--level", "2", "--weight", "4"],
+        "reduce": ["--expr", "E4", "--level", "1", "--weight", "4"],
+        "verify": [],
+    }[command]
+    code, out, err = run(command, *extra, "--prec", str(cap + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: --prec {cap + 1} exceeds the cap {cap}\n"
+
+
 def test_exit_code_unwritable_out(tmp_path):
     target = tmp_path / "missing" / "x"
     code, out, err = run("expand", "--expr", "E4", "--prec", "3", "--out", str(target))

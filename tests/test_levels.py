@@ -414,6 +414,21 @@ def test_expand_expr_half_grid():
     assert f.den == 2
 
 
+def test_torsion_atoms_are_cached_by_the_integer_bound():
+    for atom, fn in ((WpAtom(1, 0, 2), wp_hat), (WptAtom(1, 0, 2), wpt_hat)):
+        fn.cache_clear()
+        for b in (Fraction(9, 2), 5, Fraction(13, 3)):
+            expand_expr(atom, b)
+        info = fn.cache_info()
+        assert (info.misses, info.hits) == (1, 2), atom
+    # Phi_2 is built from the same torsion value
+    wp_hat.cache_clear()
+    expand_expr(PhiAtom(2), Fraction(9, 2))
+    expand_expr(WpAtom(1, 0, 2), 5)
+    info = wp_hat.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_expand_expr_square_of_weight_two_head():
     f = expand_expr(Power(GeneratorRef(5, 2, 0), 2), 5)
     assert [f.coefficient(i) for i in range(5)] == [1, 12, 72, 264, 696]

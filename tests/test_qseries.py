@@ -257,8 +257,9 @@ def test_ring_axioms_seeded():
         check_ring_axioms(random_series(rng), random_series(rng), random_series(rng))
 
 
-coeff_strategy = st.fractions(
-    min_value=-8, max_value=8, max_denominator=4
+coeff_strategy = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    st.integers(min_value=-(2**70), max_value=2**70),
 )
 
 
@@ -292,6 +293,42 @@ def test_invert_round_trip(f):
     # known window of the product is the relative depth of f above 0
     assert p.val == 0 and p.leading == 1
     assert all(c == 0 for c in p.coeffs[1:])
+
+
+def pow_oracle(f: QSeries, n: int) -> QSeries:
+    """f^n from the list oracles: poly_mul repeated |n| times, on
+    poly_inv(f) when n < 0, over f's relative precision."""
+    size = len(f.coeffs)
+    base = [Fraction(c) for c in f.coeffs]
+    if n < 0:
+        base = poly_inv(base, size)
+    acc = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for _ in range(abs(n)):
+        acc = poly_mul(acc, base, size)
+    return QSeries.build(f.den, n * f.val, acc, n * f.val + size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qseries_strategy())
+def test_pow_matches_list_oracles(f):
+    if f.is_zero:
+        return
+    for n in range(-3, 7):
+        want = pow_oracle(f, n)
+        # pow(0) is the constant 1 on the integer grid, its bound rounded up
+        assert f.pow(n) == (one_series(want.bound) if n == 0 else want), n
+    assert f.pow(-1) == f.invert()
+
+
+def test_pow_of_zero_so_far():
+    z = zero_series(Fraction(5, 2))
+    assert z.pow(3) == zero_series(Fraction(15, 2))
+    with pytest.raises(NotInvertible):
+        z.pow(-2)
+    with pytest.raises(InvalidPrecision):
+        z.pow(0)
+    with pytest.raises(ValueError):
+        monomial(1, 0, 1, 3).pow(HALF)
 
 
 @settings(max_examples=100, deadline=None)
