@@ -25,7 +25,8 @@ The expression grammar, parsed by recursive descent:
 Scalar factors fold into sum coefficients, so print_expr round-trips
 through this parser for any tree the grammar can produce.  Parentheses and
 twist(...) may nest at most _MAX_DEPTH deep, '^' exponents are at most
-_MAX_EXPONENT, and --prec is at most _MAX_PREC.
+_MAX_EXPONENT, Eis weights at most _MAX_WEIGHT, and --prec is at most
+_MAX_PREC.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ _MAX_DEPTH = 100
 # largest sizes in use (the stress product's ^336 below q^2028).
 _MAX_EXPONENT = 10_000
 _MAX_PREC = 100_000
+
+# Weight cap for Eis(k, m): the Bernoulli number B_k behind it comes from an
+# O(k^2) recurrence on growing Fractions, and B_700 takes about a second
+# (0.95 s on a 2-vCPU x86-64 host, CPython 3.11).  The package itself uses
+# k <= 12.
+_MAX_WEIGHT = 700
 
 
 class _Lexer:
@@ -138,6 +145,14 @@ class _Parser:
         self.lex.next()
         return int(text)
 
+    def expect_capped_int(self, what: str, cap: int) -> int:
+        """An integer at most cap; a larger one fails at its position."""
+        pos = self.lex.peek()[2]
+        n = self.expect_int()
+        if n > cap:
+            self.fail(f"{what} {n} exceeds the cap {cap}", pos)
+        return n
+
     def parse(self) -> FormExpr:
         e = self.parse_sum()
         kind, text, pos = self.lex.peek()
@@ -186,10 +201,7 @@ class _Parser:
     def parse_factor(self) -> FormExpr:
         base = self.parse_atom()
         if self.eat_op("^"):
-            pos = self.lex.peek()[2]
-            n = self.expect_int()
-            if n > _MAX_EXPONENT:
-                self.fail(f"exponent {n} exceeds the cap {_MAX_EXPONENT}", pos)
+            n = self.expect_capped_int("exponent", _MAX_EXPONENT)
             if isinstance(base, Scalar):
                 return Scalar(base.value**n)
             return Power(base, n)
@@ -234,7 +246,11 @@ class _Parser:
             w, n, s = self.parse_args(3)
             return GeneratorRef(n, w, s)
         if text == "Eis":
-            k, m = self.parse_args(2)
+            self.expect_op("(")
+            k = self.expect_capped_int("weight", _MAX_WEIGHT)
+            self.expect_op(",")
+            m = self.expect_int()
+            self.expect_op(")")
             return EisensteinAtom(k, m)
         if text == "Phi":
             (n,) = self.parse_args(1)

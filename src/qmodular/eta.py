@@ -48,11 +48,15 @@ def euler_function(prec: int) -> QSeries:
 
 
 def euler_product(m: int, prec: int) -> QSeries:
-    """prod_{n>=1} (1 - q^(m n)) below q^prec."""
+    """prod_{n>=1} (1 - q^(m n)) below q^prec: the Euler function's terms
+    below q^ceil(prec/m), placed every m slots.  Only the slots below prec
+    are allocated, so a multiplier m far above prec costs nothing extra."""
     if m < 1:
         raise ValueError("multiplier must be a positive integer")
-    inner = euler_function(max(0, math.ceil(Fraction(prec, m))))
-    return inner.substitute_power(m).truncate(prec)
+    top = max(0, prec)
+    arr = [0] * top
+    arr[::m] = euler_function(-(-top // m)).coeffs
+    return QSeries.build(1, 0, arr, top).truncate(prec)
 
 
 def _canonical_factors(factors):

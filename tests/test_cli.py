@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -408,6 +409,30 @@ def test_exit_code_exponent_cap():
     assert err == f"error: exponent {cap + 1} exceeds the cap {cap} (at position 9)\n"
     code, out, err = run("expand", "--expr", f"2^{cap + 1}")
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+def test_exit_code_weight_cap():
+    cap = cli._MAX_WEIGHT
+    assert parse_expr(f"Eis({cap},1)") == EisensteinAtom(cap, 1)
+    code, out, err = run("expand", "--expr", f"Eis({cap},1)", "--prec", "1")
+    assert (code, out, err) == (0, "1 + O(q^1)\n", "")
+    code, out, err = run("expand", "--expr", f"Eis({cap + 1},1)", "--prec", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: weight {cap + 1} exceeds the cap {cap} (at position 4)\n"
+
+
+def test_expand_large_eta_multiplier():
+    # the Euler factor of eta(m) is allocated below the bound only, not
+    # over m slots (8 bytes each) before truncation
+    m = 2_400_000
+    tracemalloc.start()
+    try:
+        code, out, err = run("expand", "--expr", f"eta({m})")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "q^100000 + O(q^100010)\n", "")
+    assert peak < 8 * m // 10
 
 
 @pytest.mark.parametrize("command", ["expand", "basis", "reduce", "verify"])

@@ -1,5 +1,6 @@
 """Eta quotients against naive binomial-product oracles, plus the Delta_N table."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,21 @@ def test_euler_product_matches_naive(m):
     f = euler_product(m, 41)
     naive = naive_euler_product(m, 41)
     assert [Fraction(f.coefficient(i)) for i in range(41)] == naive
+
+
+def test_euler_product_allocates_only_below_the_bound():
+    # eta(m) at the CLI default bound (its valuation + 10) needs the Euler
+    # factor below q^10; a list of m slots would take 8 bytes per slot
+    m = 10**7
+    tracemalloc.start()
+    try:
+        f = euler_product(m, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.to_text() == "1 + O(q^10)"
+    assert peak < 8 * m // 100
+    assert euler_product(3, -4) == euler_function(0).truncate(-4)
 
 
 # ---------------------------------------------------------------------------

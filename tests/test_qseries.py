@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmodular import qseries
 from qmodular.errors import (
     FractionalExponent,
     InvalidPrecision,
@@ -329,6 +330,134 @@ def test_pow_of_zero_so_far():
         z.pow(0)
     with pytest.raises(ValueError):
         monomial(1, 0, 1, 3).pow(HALF)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker products and dense powers (oracle: the schoolbook poly_mul)
+# ---------------------------------------------------------------------------
+
+KRON = qseries._KRONECKER_MIN
+big_int = st.integers(min_value=-(2**130), max_value=2**130)
+WIDE = 2**64 - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(big_int, min_size=1, max_size=40),
+    st.lists(big_int, min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=90),
+    st.booleans(),
+)
+# the slot-width edges: every product term at the largest magnitude, with
+# one sign and with alternating signs, and powers of two
+@example([WIDE] * 40, [WIDE] * 40, 79, False)
+@example([-WIDE] * 40, [WIDE] * 40, 79, False)
+@example([(-1) ** i * WIDE for i in range(40)], [WIDE] * 40, 90, True)
+@example([-(2**64)] * 7, [2**64] * 3, 12, False)
+@example([0, 0, 0], [5], 4, False)
+def test_kronecker_matches_schoolbook_on_int_lists(a, b, n, square):
+    if square:
+        b = a
+    assert qseries._kronecker(a, b, n) == poly_mul(a, b, n)
+
+
+def half_grid(f: QSeries):
+    """f's coefficients on the half-integer grid, from its valuation up to
+    its bound."""
+    m = series_coeff_map(f)
+    steps = int(2 * (f.bound - f.valuation))
+    return [m.get(f.valuation + Fraction(i, 2), Fraction(0)) for i in range(steps)]
+
+
+def mul_oracle(a: QSeries, b: QSeries) -> QSeries:
+    """a * b by poly_mul on the half-integer grid, known below
+    min(bound a + valuation b, bound b + valuation a)."""
+    val = a.valuation + b.valuation
+    bound = min(a.bound + b.valuation, b.bound + a.valuation)
+    out = poly_mul(half_grid(a), half_grid(b), int(2 * (bound - val)))
+    return QSeries.build(2, int(2 * val), out, int(2 * bound))
+
+
+@st.composite
+def long_qseries_strategy(draw, min_size=0, max_size=3 * KRON, densities=(1.0, 0.5, 0.1)):
+    """Series on either grid with up to max_size coefficients: small ints,
+    ints above 2^64, Fractions over several denominators, or a mix, at the
+    drawn share of nonzero terms."""
+    rng = draw(st.randoms(use_true_random=False))
+    den = draw(st.sampled_from([1, 2]))
+    val = draw(st.integers(min_value=-6, max_value=6))
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
+    density = draw(st.sampled_from(densities))
+    kinds = draw(st.sampled_from([(0,), (1,), (2,), (0, 1, 2)]))
+
+    def coeff():
+        kind = rng.choice(kinds)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return rng.choice((-1, 1)) * rng.randint(2**64, 2**100)
+        return Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 4, 7, 9)))
+
+    coeffs = [coeff() if rng.random() < density else 0 for _ in range(size)]
+    return QSeries.build(den, val, coeffs, val + size)
+
+
+# half the operands are long and mostly nonzero, so that about a fifth of
+# the pairs take the Kronecker path
+operand_strategy = st.one_of(
+    long_qseries_strategy(),
+    long_qseries_strategy(min_size=KRON + 1, densities=(1.0, 0.6)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand_strategy, operand_strategy)
+def test_long_products_match_schoolbook(a, b):
+    assert a * b == mul_oracle(a, b)
+    assert b * a == mul_oracle(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    long_qseries_strategy(min_size=KRON + 1, max_size=3 * KRON + 16, densities=(1.0,)),
+    st.integers(min_value=2, max_value=6),
+)
+def test_dense_pow_matches_list_oracles(f, n):
+    assert f.pow(n) == pow_oracle(f, n)
+
+
+def test_kronecker_path_selection(monkeypatch):
+    """Products take Kronecker substitution only when both operands have
+    more than _KRONECKER_MIN nonzero terms, and pow(n) only for n >= 2 and
+    more than _KRONECKER_MIN nonzero terms per step of binary powering."""
+    calls = []
+    real = qseries._kronecker
+
+    def spy(a, b, n):
+        calls.append(n)
+        return real(a, b, n)
+
+    monkeypatch.setattr(qseries, "_kronecker", spy)
+
+    def dense(size):
+        return QSeries.build(1, 0, [1 + i % 5 for i in range(size)], size)
+
+    def taken(thunk):
+        calls.clear()
+        thunk()
+        return len(calls)
+
+    assert taken(lambda: dense(KRON) * dense(3 * KRON)) == 0
+    assert taken(lambda: dense(KRON + 1) * dense(KRON + 1)) == 1
+    # a sparse operand, however long, keeps the schoolbook loop
+    assert taken(lambda: one_series(3 * KRON) * dense(3 * KRON)) == 0
+    # pow(2) is one squaring, pow(3) a squaring and a product, pow(6) three
+    assert taken(lambda: dense(KRON + 1).pow(2)) == 1
+    assert taken(lambda: dense(2 * KRON).pow(3)) == 0
+    assert taken(lambda: dense(2 * KRON + 1).pow(3)) == 2
+    assert taken(lambda: dense(3 * KRON + 1).pow(6)) == 3
+    assert taken(lambda: dense(3 * KRON + 1).pow(-1)) == 0
+    assert taken(lambda: dense(3 * KRON + 1).pow(1)) == 0
 
 
 @settings(max_examples=100, deadline=None)
