@@ -86,36 +86,50 @@ _MAX_PREC = 100_000
 _MAX_WEIGHT = 700
 
 
-class _Lexer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
+def _tokenize(src: str) -> list:
+    """Every (kind, text, position) token of src, in order, ending with
+    ("eof", "", len(src)).  Kinds: "int" (a run of digits), "name" (a
+    letter, then letters and digits) and "op" (any other single character);
+    whitespace separates tokens."""
+    tokens = []
+    pos, n = 0, len(src)
+    while True:
+        while pos < n and src[pos].isspace():
+            pos += 1
+        if pos >= n:
+            tokens.append(("eof", "", n))
+            return tokens
+        ch = src[pos]
+        j = pos + 1
+        if ch.isdigit():
+            kind = "int"
+            while j < n and src[j].isdigit():
+                j += 1
+        elif ch.isalpha():
+            kind = "name"
+            while j < n and src[j].isalnum():
+                j += 1
+        else:
+            kind = "op"
+        tokens.append((kind, src[pos:j], pos))
+        pos = j
 
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+
+class _Lexer:
+    """A cursor over the tokens of the source, lexed once."""
+
+    def __init__(self, src: str):
+        self.tokens = _tokenize(src)
+        self.i = 0
 
     def peek(self):
         """(kind, text, position) of the next token without consuming it."""
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            return ("eof", "", self.pos)
-        ch = self.src[self.pos]
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.src) and self.src[j].isdigit():
-                j += 1
-            return ("int", self.src[self.pos : j], self.pos)
-        if ch.isalpha():
-            j = self.pos
-            while j < len(self.src) and (self.src[j].isalnum()):
-                j += 1
-            return ("name", self.src[self.pos : j], self.pos)
-        return ("op", ch, self.pos)
+        return self.tokens[self.i]
 
     def next(self):
-        tok = self.peek()
-        self.pos = tok[2] + len(tok[1]) if tok[0] != "eof" else self.pos
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
+            self.i += 1
         return tok
 
 

@@ -12,15 +12,18 @@ Per level the module knows:
 
 Also here: expand_expr, the precision-aware evaluator for expression trees
 (it pushes the target precision down through products using valuation lower
-bounds, so sparse high-valuation products cost almost nothing), and reduce,
-the forward-substitution that writes a series in basis coordinates.
+bounds, so sparse high-valuation products cost almost nothing, and keeps
+one bounded cache of the expansions it made), and reduce, the
+forward-substitution that writes a series in basis coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     EmptySpace,
@@ -84,6 +87,9 @@ __all__ = [
     "BasisElement",
     "BasisSet",
     "expand_expr",
+    "expand_cache_info",
+    "expand_cache_clear",
+    "ExpandCacheInfo",
     "reduce",
 ]
 
@@ -334,12 +340,109 @@ def _fold_eta(factors):
     return EtaAtom(EtaQuotient(pairs)), rest
 
 
-def _expand(e: FormExpr, bound: Fraction) -> QSeries:
-    # nothing below the bound: answer without recursing
-    v = val_lower(e)
-    if bound <= v:
-        return zero_series(bound)
+# Budget of the expansion cache, in stored coefficients (CHANGES.md has the
+# sweep it was chosen from).
+_CACHE_BUDGET = 12_000
 
+
+class ExpandCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    evictions: int
+    coefficients: int
+
+
+def _cost(s: QSeries) -> int:
+    """Coefficients an entry holds; a zero-so-far series counts as one."""
+    return max(1, len(s.coeffs))
+
+
+class _ExpansionCache:
+    """Least-recently-used map from expression node to the longest expansion
+    of it computed so far, holding at most `budget` coefficients in all.
+
+    An entry answers every request whose bound it reaches, by truncation.
+    The generator registry is the one input that can change under a node
+    (GeneratorRef resolves through it), so every entry is dropped when the
+    registry no longer equals the snapshot the entries were made under."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.clear()
+
+    def clear(self) -> None:
+        self.entries = OrderedDict()
+        self.size = 0
+        self.hits = self.misses = self.evictions = 0
+        self.registry = None
+
+    def sync(self, registry) -> None:
+        if registry != self.registry:
+            self.entries.clear()
+            self.size = 0
+            self.registry = dict(registry)
+
+    def get(self, e: FormExpr, bound: Fraction):
+        s = self.entries.get(e)
+        if s is None or s.bound < bound:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.entries.move_to_end(e)
+        return s.truncate(bound)
+
+    def put(self, e: FormExpr, s: QSeries) -> None:
+        # a shorter entry for e may have been evicted while s was computed
+        old = self.entries.pop(e, None)
+        if old is not None:
+            self.size -= _cost(old)
+        cost = _cost(s)
+        if cost > self.budget:
+            return
+        while self.size + cost > self.budget:
+            _, dropped = self.entries.popitem(last=False)
+            self.size -= _cost(dropped)
+            self.evictions += 1
+        self.entries[e] = s
+        self.size += cost
+
+    def info(self) -> ExpandCacheInfo:
+        return ExpandCacheInfo(self.hits, self.misses, self.evictions, self.size)
+
+
+_CACHE = _ExpansionCache(_CACHE_BUDGET)
+
+# Nodes expanded without the cache: Scalar and PhiAtom cost O(bound), the
+# torsion and Eisenstein atoms have their own caches, and a GeneratorRef
+# stands for its registered expression, which is cached itself.
+_UNCACHED = (Scalar, WpAtom, WptAtom, EisensteinAtom, PhiAtom, GeneratorRef)
+
+
+def expand_cache_info() -> ExpandCacheInfo:
+    """Hits, misses and evictions of the expansion cache since it was last
+    cleared, and the coefficients it holds now."""
+    return _CACHE.info()
+
+
+def expand_cache_clear() -> None:
+    """Empty the expansion cache and reset its counters."""
+    _CACHE.clear()
+
+
+def _expand(e: FormExpr, bound: Fraction, cache) -> QSeries:
+    # nothing below the bound: answer without recursing
+    if bound <= val_lower(e):
+        return zero_series(bound)
+    if cache is None or isinstance(e, _UNCACHED):
+        return _expand_node(e, bound, cache)
+    s = cache.get(e, bound)
+    if s is None:
+        s = _expand_node(e, bound, cache)
+        cache.put(e, s)
+    return s
+
+
+def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
     if isinstance(e, Scalar):
         return constant_series(e.value, bound)
     # torsion atoms are cached by ceil(bound); expand_expr truncates the rest
@@ -356,46 +459,56 @@ def _expand(e: FormExpr, bound: Fraction) -> QSeries:
     if isinstance(e, DeltaRef):
         return delta(e.level, bound)
     if isinstance(e, GeneratorRef):
-        return _expand(_resolve_ref(e.level, e.weight, e.index), bound)
+        return _expand(_resolve_ref(e.level, e.weight, e.index), bound, cache)
     if isinstance(e, HalfTwist):
-        return _expand(e.child, bound).half_twist()
+        return _expand(e.child, bound, cache).half_twist()
     if isinstance(e, Sum):
         if not e.terms:
             return zero_series(bound)
         acc = None
         for c, f in e.terms:
-            t = _expand(f, bound).scale(c)
+            t = _expand(f, bound, cache).scale(c)
             acc = t if acc is None else acc + t
         return acc
     if isinstance(e, Product):
         folded, rest = _fold_eta(e.factors)
         factors = ([folded] if folded is not None else []) + rest
         if len(factors) == 1:
-            return _expand(factors[0], bound)
+            return _expand(factors[0], bound, cache)
         lows = [val_lower(f) for f in factors]
         slack = bound - sum(lows)
         acc = None
         for f, lo in zip(factors, lows):
-            t = _expand(f, slack + lo)
+            t = _expand(f, slack + lo, cache)
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
         if e.exponent == 0:
             return constant_series(1, bound)
         if isinstance(e.base, EtaAtom):
-            return _expand(_fold_eta((e,))[0], bound)
+            return _expand(_fold_eta((e,))[0], bound, cache)
         lo = val_lower(e.base)
-        t = _expand(e.base, bound - (e.exponent - 1) * lo)
+        t = _expand(e.base, bound - (e.exponent - 1) * lo, cache)
         return t.pow(e.exponent)
     raise TypeError(f"not a FormExpr: {e!r}")
 
 
 def expand_expr(e: FormExpr, prec) -> QSeries:
-    """q-expansion of the expression tree below exponent prec."""
+    """q-expansion of the expression tree below exponent prec.
+
+    The answer's bound is prec rounded up on the exponent grid of the series
+    the evaluation ends with.  When the integer and half-integer grids round
+    prec differently (its fractional part lies in (0, 1/2]), that grid, and
+    so the answer, depends on how the tree was evaluated; such requests
+    bypass the expansion cache, so that the cache never changes an answer."""
     b = _as_fraction(prec)
     if b < 0:
         raise InvalidPrecision(f"negative bound {prec}")
-    res = _expand(e, b)
+    cache = None
+    if math.ceil(2 * b) == 2 * math.ceil(b):
+        cache = _CACHE
+        cache.sync(_REGISTRY)
+    res = _expand(e, b, cache)
     assert res.bound >= b, (res.bound, b)
     return res.truncate(b)
 

@@ -9,6 +9,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmodular import cli, identities
 from qmodular.cli import main, parse_expr
@@ -99,6 +101,38 @@ def test_parse_rejects_deep_torsion_offsets():
         parse_expr("wp(1/3,0,3)")
     with pytest.raises(ParseError):
         parse_expr("wpt(0,1/4,5)")
+
+
+def scanned_tokens(src):
+    """The tokens of src as the parser's first lexer found them: rescanning
+    from the cursor on every peek."""
+    pos, out = 0, []
+    while True:
+        while pos < len(src) and src[pos].isspace():
+            pos += 1
+        if pos >= len(src):
+            out.append(("eof", "", pos))
+            return out
+        ch = src[pos]
+        j = pos
+        if ch.isdigit():
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            tok = ("int", src[pos:j], pos)
+        elif ch.isalpha():
+            while j < len(src) and src[j].isalnum():
+                j += 1
+            tok = ("name", src[pos:j], pos)
+        else:
+            tok = ("op", ch, pos)
+        out.append(tok)
+        pos = tok[2] + len(tok[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="09aZE_ ()+-*/^,.\t\n\u00b2\u00bd\u00e9\u3000\u0663", max_size=30))
+def test_tokens_match_the_scanning_lexer(src):
+    assert cli._tokenize(src) == scanned_tokens(src)
 
 
 # ---------------------------------------------------------------------------

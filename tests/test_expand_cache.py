@@ -1,0 +1,237 @@
+"""The expansion cache in levels._expand: it never changes an answer (a
+differential test against the uncached evaluator kept here as the oracle),
+it never serves an expansion made under an older generator registry, and
+its counters show what it did.
+
+These tests clear the cache themselves, so they pass in a process of their
+own as well as after the rest of the suite has filled it."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from qmodular import levels
+from qmodular.eta import delta
+from qmodular.expr import (
+    DeltaRef,
+    EisensteinAtom,
+    EtaAtom,
+    FormExpr,
+    GeneratorRef,
+    HalfTwist,
+    PhiAtom,
+    Power,
+    Product,
+    Scalar,
+    Sum,
+    WpAtom,
+    WptAtom,
+    val_lower,
+)
+from qmodular.identities import REGISTRY as IDENTITIES
+from qmodular.levels import (
+    _fold_eta,
+    _resolve_ref,
+    basis_skeleton,
+    dimension,
+    expand_cache_clear,
+    expand_cache_info,
+    expand_expr,
+    reduce,
+)
+from qmodular.qseries import constant_series, zero_series
+from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the evaluator as it was before the cache
+# ---------------------------------------------------------------------------
+
+
+def uncached_expand(e: FormExpr, bound: Fraction):
+    # nothing below the bound: answer without recursing
+    v = val_lower(e)
+    if bound <= v:
+        return zero_series(bound)
+
+    if isinstance(e, Scalar):
+        return constant_series(e.value, bound)
+    # torsion atoms are cached by ceil(bound); expand_expr truncates the rest
+    if isinstance(e, WpAtom):
+        return wp_hat(e.a, e.b, e.m, math.ceil(bound))
+    if isinstance(e, WptAtom):
+        return wpt_hat(e.a, e.b, e.m, math.ceil(bound))
+    if isinstance(e, EtaAtom):
+        return e.quotient.expand(bound)
+    if isinstance(e, EisensteinAtom):
+        return eisenstein(e.k, e.m, bound)
+    if isinstance(e, PhiAtom):
+        return phi_level(e.level, bound, e.mode)
+    if isinstance(e, DeltaRef):
+        return delta(e.level, bound)
+    if isinstance(e, GeneratorRef):
+        return uncached_expand(_resolve_ref(e.level, e.weight, e.index), bound)
+    if isinstance(e, HalfTwist):
+        return uncached_expand(e.child, bound).half_twist()
+    if isinstance(e, Sum):
+        if not e.terms:
+            return zero_series(bound)
+        acc = None
+        for c, f in e.terms:
+            t = uncached_expand(f, bound).scale(c)
+            acc = t if acc is None else acc + t
+        return acc
+    if isinstance(e, Product):
+        folded, rest = _fold_eta(e.factors)
+        factors = ([folded] if folded is not None else []) + rest
+        if len(factors) == 1:
+            return uncached_expand(factors[0], bound)
+        lows = [val_lower(f) for f in factors]
+        slack = bound - sum(lows)
+        acc = None
+        for f, lo in zip(factors, lows):
+            t = uncached_expand(f, slack + lo)
+            acc = t if acc is None else acc * t
+        return acc
+    if isinstance(e, Power):
+        if e.exponent == 0:
+            return constant_series(1, bound)
+        if isinstance(e.base, EtaAtom):
+            return uncached_expand(_fold_eta((e,))[0], bound)
+        lo = val_lower(e.base)
+        t = uncached_expand(e.base, bound - (e.exponent - 1) * lo)
+        return t.pow(e.exponent)
+    raise TypeError(f"not a FormExpr: {e!r}")
+
+
+def oracle(e: FormExpr, prec):
+    b = Fraction(prec)
+    return uncached_expand(e, b).truncate(b)
+
+
+# ---------------------------------------------------------------------------
+# differential test
+# ---------------------------------------------------------------------------
+
+BASIS_ELEMENTS = [
+    ex
+    for n in range(1, 11)
+    for w in range(2, 13, 2)
+    if dimension(n, w)
+    for ex in basis_skeleton(n, w)
+]
+IDENTITY_SIDES = [side for case in IDENTITIES.values() for side in (case.lhs, case.rhs)]
+
+F = Fraction
+# bounds requested in rising, falling and fractional order; 17/3 rounds
+# up to 6 on both exponent grids, so unlike 1/3, 9/2 and 13/3 it is
+# answered from the cache
+ORDERS = {
+    "rising": (3, 8, 14),
+    "falling": (14, 8, 3),
+    "fractional": (F(1, 3), F(9, 2), 5, F(13, 3), F(17, 3)),
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize(
+    "exprs", [BASIS_ELEMENTS, IDENTITY_SIDES], ids=["basis", "identities"]
+)
+def test_cached_expansion_equals_the_uncached_one(order, exprs):
+    expand_cache_clear()
+    for b in ORDERS[order]:
+        for e in exprs:
+            # QSeries equality: the same den, val, coeffs and prec
+            assert expand_expr(e, b) == oracle(e, b), (e, b)
+    info = expand_cache_info()
+    assert info.hits > 0 and info.coefficients <= levels._CACHE.budget
+
+
+def test_evictions_during_the_recursion_change_no_answer(monkeypatch):
+    # a budget of a few entries evicts inside almost every expansion,
+    # including the shorter entry of the node being expanded
+    monkeypatch.setattr(levels._CACHE, "budget", 60)
+    expand_cache_clear()
+    for b in (6, 11, 4, 11):
+        for e in BASIS_ELEMENTS[::3]:
+            assert expand_expr(e, b) == oracle(e, b), (e, b)
+    info = expand_cache_info()
+    assert info.evictions > 0 and info.hits > 0
+    assert info.coefficients <= 60
+    assert sum(map(levels._cost, levels._CACHE.entries.values())) == info.coefficients
+
+
+# ---------------------------------------------------------------------------
+# staleness
+# ---------------------------------------------------------------------------
+
+
+def test_registry_change_reaches_cached_expansions():
+    ref = GeneratorRef(7, 6, 3)
+    # E(2,7,0) * (E(6,7,0) + E(6,7,3)).  The corruption below gives
+    # E(6,7,3) a constant term, so a product that relied on its valuation
+    # bound 3 could not reach its bound (with or without the cache); inside
+    # a sum of valuation 0 it can.
+    prod = Product(
+        (GeneratorRef(7, 2, 0), Sum([(1, GeneratorRef(7, 6, 0)), (1, ref)]))
+    )
+    exprs = (ref, prod)
+    expand_cache_clear()
+    clean = [expand_expr(x, 12) for x in exprs]
+    hits = expand_cache_info().hits
+    assert [expand_expr(x, 12) for x in exprs] == clean
+    assert expand_cache_info().hits == hits + 2
+
+    # corrupt the row as acceptance criterion 7 does
+    row = levels._REGISTRY[(7, 6)]
+    terms = list(row[3].terms)
+    terms[1] = (terms[1][0] + F(1, 1000003), terms[1][1])
+    levels._REGISTRY[(7, 6)] = row[:3] + (Sum(terms),) + row[4:]
+    try:
+        broken = [expand_expr(x, 12) for x in exprs]
+        assert broken == [oracle(x, 12) for x in exprs]
+        assert broken[0] != clean[0] and broken[1] != clean[1]
+    finally:
+        levels._REGISTRY[(7, 6)] = row
+    assert [expand_expr(x, 12) for x in exprs] == clean
+
+
+# ---------------------------------------------------------------------------
+# counters
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_reduce_is_all_hits():
+    level, wt = 10, 12
+    d = dimension(level, wt)
+    skel = basis_skeleton(level, wt)
+    expand_cache_clear()
+    f = expand_expr(Sum([(s + 1, ex) for s, ex in enumerate(skel)]), d + 6)
+    assert reduce(f, level, wt) == list(range(1, d + 1))
+    before = expand_cache_info()
+    assert reduce(f, level, wt) == list(range(1, d + 1))
+    after = expand_cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == d
+    assert after.evictions == before.evictions
+
+
+def test_counters_from_a_cold_cache():
+    expand_cache_clear()
+    assert expand_cache_info() == (0, 0, 0, 0)
+    e = Power(DeltaRef(2), 3)
+    s = expand_expr(e, 10)
+    # the power and its base, each one miss and one entry
+    info = expand_cache_info()
+    assert (info.hits, info.misses, info.evictions) == (0, 2, 0)
+    assert info.coefficients == len(s.coeffs) + len(delta(2, 8).coeffs)
+    assert expand_expr(e, 7) == s.truncate(7)
+    assert expand_cache_info().hits == 1
+
+
+def test_bounds_the_two_grids_round_apart_bypass_the_cache():
+    expand_cache_clear()
+    for b in (F(1, 3), F(9, 2), F(13, 3)):
+        expand_expr(Power(DeltaRef(2), 3), b)
+    assert expand_cache_info() == (0, 0, 0, 0)
