@@ -55,7 +55,7 @@ def euler_product(m: int, prec: int) -> QSeries:
         raise ValueError("multiplier must be a positive integer")
     top = max(0, prec)
     arr = [0] * top
-    arr[::m] = euler_function(-(-top // m)).coeffs
+    arr[::m] = euler_function(-(-top // m)).nums
     return QSeries.build(1, 0, arr, top).truncate(prec)
 
 

@@ -376,13 +376,10 @@ def check(name: str, prec=None) -> IdentityReport:
     lhs = expand_expr(case.lhs, p)
     rhs = expand_expr(case.rhs, p)
     diff = lhs - rhs
-    for i, c in enumerate(diff.coeffs):
-        if c:
-            e = Fraction(diff.val + i, diff.den)
-            return IdentityReport(
-                name, p, e, Fraction(lhs.coefficient(e)), Fraction(rhs.coefficient(e))
-            )
-    return IdentityReport(name, p)
+    if diff.is_zero:
+        return IdentityReport(name, p)
+    e = diff.valuation
+    return IdentityReport(name, p, e, Fraction(lhs.coefficient(e)), Fraction(rhs.coefficient(e)))
 
 
 def check_all(prec=None):

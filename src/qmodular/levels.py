@@ -57,7 +57,7 @@ from .expr import (
     val_lower,
     weight,
 )
-from .qseries import HALF, QSeries, _as_fraction, constant_series, zero_series
+from .qseries import HALF, QSeries, _as_fraction, constant_series, lincomb, zero_series
 from .weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
 
 __all__ = [
@@ -354,7 +354,7 @@ class ExpandCacheInfo(NamedTuple):
 
 def _cost(s: QSeries) -> int:
     """Coefficients an entry holds; a zero-so-far series counts as one."""
-    return max(1, len(s.coeffs))
+    return max(1, len(s.nums))
 
 
 class _ExpansionCache:
@@ -465,11 +465,7 @@ def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
     if isinstance(e, Sum):
         if not e.terms:
             return zero_series(bound)
-        acc = None
-        for c, f in e.terms:
-            t = _expand(f, bound, cache).scale(c)
-            acc = t if acc is None else acc + t
-        return acc
+        return lincomb((c, _expand(f, bound, cache)) for c, f in e.terms)
     if isinstance(e, Product):
         folded, rest = _fold_eta(e.factors)
         factors = ([folded] if folded is not None else []) + rest
@@ -509,7 +505,12 @@ def expand_expr(e: FormExpr, prec) -> QSeries:
         cache = _CACHE
         cache.sync(_REGISTRY)
     res = _expand(e, b, cache)
-    assert res.bound >= b, (res.bound, b)
+    if res.bound < b:
+        # val_lower trusts the registry: a generator edited to a lower
+        # valuation than its index leaves a product short of its bound
+        raise InsufficientPrecision(
+            f"expansion reached q^{res.bound}, below the requested bound q^{b}"
+        )
     return res.truncate(b)
 
 
@@ -700,8 +701,7 @@ def reduce(f: QSeries, level: int, wt: int, prec=None):
         c = Fraction(residual.coefficient(el.index))
         coords.append(c)
         if c:
-            residual = residual - el.series.scale(c).truncate(depth)
-    for i, cc in enumerate(residual.coeffs):
-        if cc:
-            raise NotInSpan(Fraction(residual.val + i, residual.den))
+            residual = lincomb(((1, residual), (-c, el.series)))
+    if not residual.is_zero:
+        raise NotInSpan(residual.valuation)
     return coords

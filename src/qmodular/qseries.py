@@ -6,18 +6,22 @@ carries an explicit precision bound ("known for all exponents below
 prec/D").  Arithmetic tracks how far results stay trustworthy, so that a
 product of series known to different depths never overclaims.
 
-Coefficients are stored as plain ints whenever they are integral and as
-fractions.Fraction otherwise; the two compare equal.  A product takes one of
-two paths.  When either operand has at most _KRONECKER_MIN nonzero terms,
-a schoolbook loop multiplies term by term, skipping zeros.  Otherwise each
-operand is put over the lcm of its denominators, its integer numerators are
-packed into one big int (Kronecker substitution), and a single CPython
-multiplication gives every coefficient of the product.
+The coefficients are stored as int numerators over one positive common
+denominator d, in lowest terms (gcd(d, *nums) == 1), as FLINT's fmpq_poly
+stores a rational polynomial.  Every operation works on the numerators and
+applies one denominator at the end; the read-only `coeffs` view gives the
+coefficients as ints and Fractions.  Sums and scalar multiples go through
+one kernel, lincomb.  A product takes one of two paths.  When either
+operand has at most _KRONECKER_MIN nonzero terms, a schoolbook loop
+multiplies term by term, skipping zeros.  Otherwise the numerators are
+packed into one big int each (Kronecker substitution), and a single
+CPython multiplication gives every coefficient of the product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,24 +41,10 @@ HALF = Fraction(1, 2)
 
 # Products whose operands both have more nonzero terms than this go through
 # Kronecker substitution; shorter or sparser ones through the schoolbook loop.
-# Measured crossover: dense int operands break even near 24 terms, half-zero
-# ones near 32 nonzero terms, and Fraction operands gain 3x or more from 16
-# terms on (CHANGES.md has the sweep).
+# Measured crossover on int numerators: dense operands break even between 16
+# and 24 terms (near 40 at 200-bit coefficients), half-zero ones near 32
+# nonzero terms (CHANGES.md has the sweep).
 _KRONECKER_MIN = 32
-
-
-def _norm_coeff(c: Rat) -> Rat:
-    """Collapse integral Fractions to int (canonical storage form)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _numerators(coeffs):
-    """(d, [d * c for c in coeffs]) with d the lcm of the coefficient
-    denominators, so that every d * c is an int."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def _bias(slots: int, k: int) -> int:
@@ -93,14 +83,47 @@ def _kronecker(a, b, n: int) -> list:
     return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, k * n, k)]
 
 
-def _miller(f, n: int) -> list:
-    """The first len(f) coefficients of f^n by Miller's recurrence, for
-    an int list f with f[0] != 0."""
+def _product(a, b, n: int) -> list:
+    """The first n coefficients of the product of the int sequences a and b
+    (each at most n long): Kronecker substitution when both have more than
+    _KRONECKER_MIN nonzero terms, else the schoolbook loop with the sparser
+    operand outside."""
+    na = len(a) - a.count(0)
+    nb = len(b) - b.count(0)
+    if min(na, nb) > _KRONECKER_MIN:
+        return _kronecker(a, b, n)
+    if nb < na:
+        a, b = b, a
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            top = n - i
+            for j, y in terms:
+                if j >= top:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _miller(f, n: int):
+    """(g, d) with g / d the first len(f) coefficients of f^n, by Miller's
+    recurrence, for an int list f with f[0] != 0.
+
+    For n >= 0 or a unit f0 = f[0] every coefficient of f^n is an integer
+    and d = 1.  Otherwise the coefficient of q^j is h_j / f0^(j - n) with
+    h_j an integer: h_0 = 1 and j h_j = sum_k ((n+1) k - j) f_k f0^(k-1)
+    h_(j-k).  Then the h_j are put over the last of those denominators."""
     f0 = f[0]
-    g = [_norm_coeff(Fraction(f0) ** n)]
-    # an int g_0 (f0 ** n, or a unit f0) makes every g_j an integer
-    exact = type(g[0]) is int
-    terms = [(k, c) for k, c in enumerate(f) if k and c]
+    exact = n >= 0 or f0 in (1, -1)
+    if exact:
+        # f0^n, which for a unit f0 and n < 0 is f0^-n
+        g = [f0 ** abs(n)]
+        terms = [(k, c) for k, c in enumerate(f) if k and c]
+    else:
+        g = [1]
+        terms = [(k, c * f0 ** (k - 1)) for k, c in enumerate(f) if k and c]
+    div = f0 if exact else 1
     m = n + 1
     for j in range(1, len(f)):
         s = 0
@@ -108,8 +131,13 @@ def _miller(f, n: int) -> list:
             if k > j:
                 break
             s += (m * k - j) * c * g[j - k]
-        g.append(s // (j * f0) if exact else Fraction(s, j * f0))
-    return g
+        g.append(s // (j * div))
+    if exact:
+        return g, 1
+    top = len(f) - 1
+    d = f0 ** (top - n)
+    g = [h * f0 ** (top - j) for j, h in enumerate(g)]
+    return (g, d) if d > 0 else ([-h for h in g], -d)
 
 
 def _as_fraction(x) -> Fraction:
@@ -122,54 +150,87 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+def _rat(x: int, d: int) -> Rat:
+    """x / d as an int when it is integral, else as a Fraction."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
 @dataclass(frozen=True)
 class QSeries:
     """One truncated Puiseux series.
 
-    den    -- exponent denominator D (1 or 2), minimal for the stored data
-    val    -- numerator of the leading exponent; leading exponent is val/den
-    coeffs -- coeffs[i] is the coefficient of q^((val+i)/den); coeffs[0] != 0
-    prec   -- numerator of the precision bound: all exponents < prec/den known
+    den  -- exponent denominator D (1 or 2), minimal for the stored data
+    val  -- numerator of the leading exponent; leading exponent is val/den
+    nums -- nums[i] / d is the coefficient of q^((val+i)/den); nums[0] != 0
+    d    -- the positive common denominator, gcd(d, *nums) == 1
+    prec -- numerator of the precision bound: all exponents < prec/den known
 
     A series with no known-nonzero coefficient ("zero so far") has
-    val == prec and coeffs == ().
+    val == prec, nums == () and d == 1.
     """
 
     den: int
     val: int
-    coeffs: tuple
+    nums: tuple
+    d: int
     prec: int
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def build(den: int, val: int, coeffs, prec: int) -> "QSeries":
-        """Normalize raw data: strip leading zeros, int-ify coefficients,
-        and reduce the exponent denominator when that loses no information
-        (all supported exponents *and* the precision bound must survive the
-        rescaling exactly)."""
-        assert den in (1, 2), den
-        cs = [_norm_coeff(c) for c in coeffs]
-        # strip leading zeros
+        """The series with the given rational coefficients from q^(val/den)
+        up to the bound prec/den, in canonical form."""
+        if den not in (1, 2):
+            raise ValueError(f"exponent denominator must be 1 or 2, got {den}")
+        cs = list(coeffs)
+        if len(cs) != prec - val:
+            raise ValueError(f"{len(cs)} coefficients for the window [{val}, {prec})")
+        if set(map(type, cs)) <= {int}:
+            return QSeries._make(den, val, cs, 1, prec)
+        cs = [c if isinstance(c, (int, Fraction)) else _as_fraction(c) for c in cs]
+        d = math.lcm(*[c.denominator for c in cs])
+        return QSeries._make(den, val, [c.numerator * (d // c.denominator) for c in cs], d, prec)
+
+    @staticmethod
+    def _make(den: int, val: int, nums, d: int, prec: int) -> "QSeries":
+        """Canonical form of the int numerators nums over d > 0: strip
+        leading zeros, divide out gcd(d, *nums), and reduce the exponent
+        denominator when that loses no information (all supported exponents
+        *and* the precision bound must survive the rescaling exactly)."""
         k = 0
-        while k < len(cs) and cs[k] == 0:
+        while k < len(nums) and not nums[k]:
             k += 1
-        val += k
-        cs = cs[k:]
-        if not cs:
-            val = prec
-        assert len(cs) == prec - val, (len(cs), prec, val)
-        if den == 2 and prec % 2 == 0 and val % 2 == 0:
-            if all(cs[i] == 0 for i in range(1, len(cs), 2)):
-                return QSeries(1, val // 2, tuple(cs[0::2]), prec // 2)
-        return QSeries(den, val, tuple(cs), prec)
+        if k == len(nums):
+            if den == 2 and prec % 2 == 0:
+                return QSeries(1, prec // 2, (), 1, prec // 2)
+            return QSeries(den, prec, (), 1, prec)
+        if k:
+            nums = nums[k:]
+            val += k
+        if d != 1:
+            g = math.gcd(d, *nums)
+            if g != 1:
+                d //= g
+                nums = [x // g for x in nums]
+        if den == 2 and prec % 2 == 0 and val % 2 == 0 and not any(nums[1::2]):
+            return QSeries(1, val // 2, tuple(nums[0::2]), d, prec // 2)
+        return QSeries(den, val, tuple(nums), d, prec)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """coeffs[i] is the coefficient of q^((val+i)/den): an int when it
+        is integral, else a Fraction."""
+        if self.d == 1:
+            return self.nums
+        return tuple(_rat(x, self.d) for x in self.nums)
+
+    @property
     def is_zero(self) -> bool:
         """True when no nonzero coefficient is known ("zero so far")."""
-        return not self.coeffs
+        return not self.nums
 
     @property
     def bound(self) -> Fraction:
@@ -183,7 +244,7 @@ class QSeries:
 
     @property
     def leading(self):
-        return self.coeffs[0] if self.coeffs else None
+        return _rat(self.nums[0], self.d) if self.nums else None
 
     def coefficient(self, e) -> Rat:
         """Coefficient of q^e; raises InvalidPrecision beyond the bound."""
@@ -194,92 +255,54 @@ class QSeries:
         if t.denominator != 1:
             return 0
         i = int(t) - self.val
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return _rat(self.nums[i], self.d)
         return 0
 
     # -- rescaling helpers -------------------------------------------------
 
     def _spread(self, g: int):
-        """(val, coeffs, prec) with every exponent numerator multiplied by g:
-        each coefficient followed by g - 1 zeros."""
-        cs = [0] * (len(self.coeffs) * g)
-        cs[::g] = self.coeffs
-        return self.val * g, cs, self.prec * g
-
-    def _rescale(self, den: int) -> "QSeries":
-        """Rewrite on a finer exponent grid (den a multiple of self.den)."""
-        if den == self.den:
-            return self
-        val, cs, prec = self._spread(den // self.den)
-        return QSeries(den, val, tuple(cs), prec)
+        """(val, nums, prec) with every exponent numerator multiplied by g:
+        each numerator followed by g - 1 zeros."""
+        if g == 1:
+            return self.val, self.nums, self.prec
+        nums = [0] * (len(self.nums) * g)
+        nums[::g] = self.nums
+        return self.val * g, nums, self.prec * g
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        den = self.den if self.den == other.den else 2
-        a, b = self._rescale(den), other._rescale(den)
-        prec = min(a.prec, b.prec)
-        val = min(a.val, b.val, prec)
-        out = [0] * (prec - val)
-        for s in (a, b):
-            for i, c in enumerate(s.coeffs):
-                j = s.val + i - val
-                if j < len(out):
-                    out[j] += c
-        return QSeries.build(den, val, out, prec)
+        return lincomb(((1, self), (1, other)))
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.den, self.val, tuple(-c for c in self.coeffs), self.prec)
+        return QSeries(self.den, self.val, tuple(-x for x in self.nums), self.d, self.prec)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
+        return lincomb(((1, self), (-1, other)))
 
     def scale(self, c) -> "QSeries":
         """Multiply by an exact rational scalar."""
         c = _as_fraction(c)
-        if c == 0:
-            return QSeries(self.den, self.prec, (), self.prec)
-        return QSeries.build(self.den, self.val, [c * x for x in self.coeffs], self.prec)
+        p = c.numerator
+        nums = self.nums if p == 1 else [p * x for x in self.nums]
+        return QSeries._make(self.den, self.val, nums, self.d * c.denominator, self.prec)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         den = self.den if self.den == other.den else 2
-        a, b = self._rescale(den), other._rescale(den)
-        val = a.val + b.val
-        prec = min(a.prec + b.val, b.prec + a.val)
+        av, an, ap = self._spread(den // self.den)
+        bv, bn, bp = other._spread(den // other.den)
+        val = av + bv
+        prec = min(ap + bv, bp + av)
         n = prec - val
-        if n <= 0 or not a.coeffs or not b.coeffs:
-            return QSeries.build(den, prec, (), prec)
-        ca = a.coeffs[:n]
-        cb = b.coeffs[:n]
-        if len(ca) > _KRONECKER_MIN and len(cb) > _KRONECKER_MIN:
-            na = len(ca) - ca.count(0)
-            nb = len(cb) - cb.count(0)
-            if min(na, nb) > _KRONECKER_MIN:
-                da, ia = _numerators(ca)
-                db, ib = _numerators(cb)
-                out = _kronecker(ia, ib, n)
-                d = da * db
-                if d > 1:
-                    out = [Fraction(c, d) for c in out]
-                return QSeries.build(den, val, out, prec)
-            # walk the sparser operand on the outside
-            if nb < na:
-                ca, cb = cb, ca
-        out = [0] * n
-        for i, x in enumerate(ca):
-            if x == 0:
-                continue
-            top = n - i
-            for j in range(min(len(cb), top)):
-                y = cb[j]
-                if y != 0:
-                    out[i + j] += x * y
-        return QSeries.build(den, val, out, prec)
+        if n <= 0 or not an or not bn:
+            return QSeries._make(den, prec, (), 1, prec)
+        out = _product(an[:n], bn[:n], n)
+        return QSeries._make(den, val, out, self.d * other.d, prec)
 
     def pow(self, n: int) -> "QSeries":
-        """n-th power for any integer n, on the integer numerators d*f, d the
-        lcm of the coefficient denominators, as (d f)^n / d^n.
+        """n-th power for any integer n, on the integer numerators f as
+        f^n / d^n.
 
         J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), which
         g = f^n satisfies,
@@ -300,11 +323,11 @@ class QSeries:
             raise ValueError("pow exponent must be an integer")
         if n == 0:
             return monomial(1, 0, 1, Fraction(self.prec - self.val, self.den))
-        if not self.coeffs:
+        f = self.nums
+        if not f:
             if n < 0:
                 raise NotInvertible("leading coefficient unknown (zero so far)")
-            return QSeries.build(self.den, n * self.prec, (), n * self.prec)
-        d, f = _numerators(self.coeffs)
+            return QSeries._make(self.den, n * self.prec, (), 1, n * self.prec)
         size = len(f)
         steps = n.bit_length() + bin(n).count("1") - 2
         if n >= 2 and size - f.count(0) > _KRONECKER_MIN * steps:
@@ -313,12 +336,15 @@ class QSeries:
                 g = _kronecker(g, g, size)
                 if bit == "1":
                     g = _kronecker(g, f, size)
+            d = 1
         else:
-            g = _miller(f, n)
-        if d > 1:
-            scale = Fraction(d) ** -n
+            g, d = _miller(f, n)
+        if n > 0:
+            d *= self.d**n
+        elif self.d != 1:
+            scale = self.d**-n
             g = [x * scale for x in g]
-        return QSeries.build(self.den, n * self.val, g, n * self.val + size)
+        return QSeries._make(self.den, n * self.val, g, d, n * self.val + size)
 
     __pow__ = pow
 
@@ -332,7 +358,8 @@ class QSeries:
             raise ValueError("substitution power must be a positive integer")
         if m == 1:
             return self
-        return QSeries.build(self.den, *self._spread(m))
+        val, nums, prec = self._spread(m)
+        return QSeries._make(self.den, val, nums, self.d, prec)
 
     def half_twist(self) -> "QSeries":
         """Send q^(1/2) to -q^(1/2): negate coefficients at odd numerators.
@@ -342,18 +369,21 @@ class QSeries:
             return self
         if self.den != 2:
             raise UnsupportedTwist(f"exponent denominator {self.den} does not divide 2")
-        cs = [(-c if (self.val + i) % 2 else c) for i, c in enumerate(self.coeffs)]
-        return QSeries.build(self.den, self.val, cs, self.prec)
+        nums = list(self.nums)
+        odd = slice(1 - self.val % 2, None, 2)
+        nums[odd] = [-x for x in nums[odd]]
+        return QSeries(self.den, self.val, tuple(nums), self.d, self.prec)
 
     def truncate(self, bound) -> "QSeries":
         """Forget everything at exponents >= bound (no-op if already shorter)."""
         b = _as_fraction(bound)
-        p = math.ceil(b * self.den)
+        p = -(-b.numerator * self.den // b.denominator)
         if p >= self.prec:
             return self
         if p <= self.val:
-            return QSeries.build(self.den, p, (), p)
-        return QSeries.build(self.den, self.val, self.coeffs[: p - self.val], p)
+            return QSeries._make(self.den, p, (), 1, p)
+        # dropping terms can lower the common denominator
+        return QSeries._make(self.den, self.val, self.nums[: p - self.val], self.d, p)
 
     def shift(self, s) -> "QSeries":
         """Multiply by q^s for an exact rational s with denominator 1 or 2."""
@@ -361,9 +391,9 @@ class QSeries:
         if s.denominator not in (1, 2):
             raise FractionalExponent(f"shift exponent {s} not in (1/2)Z")
         den = self.den if s.denominator == 1 else 2
-        a = self._rescale(den)
-        d = int(s * den)
-        return QSeries.build(den, a.val + d, a.coeffs, a.prec + d)
+        val, nums, prec = self._spread(den // self.den)
+        t = int(s * den)
+        return QSeries._make(den, val + t, nums, self.d, prec + t)
 
     # -- rendering ----------------------------------------------------------
 
@@ -372,24 +402,14 @@ class QSeries:
 
         Zero coefficients are skipped; fractional data is parenthesized:
         ``(9/2)q^4``, ``q^(5/2)``."""
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = Fraction(self.val + i, self.den)
-            parts.append((c, e))
-        tail = f"O(q^{_fmt_exp(self.bound)})"
-        if not parts:
-            return tail
         out = []
-        for k, (c, e) in enumerate(parts):
-            neg = c < 0
-            body = _fmt_term(abs(Fraction(c)), e)
-            if k == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append(("- " if neg else "+ ") + body)
-        out.append("+ " + tail)
+        for i, x in enumerate(self.nums):
+            if x == 0:
+                continue
+            body = _fmt_term(Fraction(abs(x), self.d), Fraction(self.val + i, self.den))
+            sign = "-" if x < 0 else ("+" if out else "")
+            out.append(f"{sign} {body}" if out else sign + body)
+        out.append(("+ " if out else "") + f"O(q^{_fmt_exp(self.bound)})")
         return " ".join(out)
 
     def __str__(self) -> str:
@@ -397,6 +417,32 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries[{self.to_text()}]"
+
+
+def lincomb(terms) -> QSeries:
+    """sum c * s over the (rational c, series s) pairs of terms, on the
+    finer grid of the two: one lcm of the denominators, then one pass over
+    each term's numerators.  Every term bounds the precision of the result,
+    one with c == 0 included."""
+    terms = [(_as_fraction(c), s) for c, s in terms]
+    if not terms:
+        raise ValueError("lincomb needs at least one term")
+    den = max(s.den for _, s in terms)
+    prec = min(s.prec * (den // s.den) for _, s in terms)
+    live = [(c, s) for c, s in terms if c and s.nums]
+    val = min([s.val * (den // s.den) for _, s in live] + [prec])
+    d = math.lcm(*[c.denominator * s.d for c, s in live])
+    out = [0] * (prec - val)
+    for c, s in live:
+        g = den // s.den
+        start = s.val * g - val
+        count = min(len(s.nums), (prec - val - start + g - 1) // g)
+        if count <= 0:
+            continue
+        w = c.numerator * (d // (c.denominator * s.d))
+        at = slice(start, start + (count - 1) * g + 1, g)
+        out[at] = [x + w * y for x, y in zip(out[at], s.nums)]
+    return QSeries._make(den, val, out, d, prec)
 
 
 def _fmt_exp(e: Fraction) -> str:
@@ -436,10 +482,8 @@ def monomial(coeff, p, q=1, prec=None) -> QSeries:
     vn = int(e * den)
     if pn <= vn:
         raise InvalidPrecision(f"bound {b} does not exceed exponent {e}")
-    c = _norm_coeff(_as_fraction(coeff))
-    if c == 0:
-        return QSeries.build(den, pn, (), pn)
-    return QSeries.build(den, vn, [c] + [0] * (pn - vn - 1), pn)
+    c = _as_fraction(coeff)
+    return QSeries._make(den, vn, [c.numerator] + [0] * (pn - vn - 1), c.denominator, pn)
 
 
 def zero_series(prec) -> QSeries:
@@ -448,7 +492,7 @@ def zero_series(prec) -> QSeries:
     The bound is rounded up to the half-integer grid, as truncate and
     monomial round theirs, so it never falls below prec."""
     p = math.ceil(_as_fraction(prec) * 2)
-    return QSeries.build(2, p, (), p)
+    return QSeries._make(2, p, (), 1, p)
 
 
 def one_series(prec) -> QSeries:
@@ -459,7 +503,8 @@ def constant_series(value, prec) -> QSeries:
     """The constant value below exponent prec on the integer grid; the
     zero-so-far series at 0 when prec <= 0."""
     p = max(0, math.ceil(_as_fraction(prec)))
-    return QSeries.build(1, 0, [value] + [0] * (p - 1) if p else [], p)
+    c = _as_fraction(value)
+    return QSeries._make(1, 0, [c.numerator] + [0] * (p - 1) if p else (), c.denominator, p)
 
 
 # -- arithmetic generating series --------------------------------------------
@@ -482,9 +527,8 @@ def sigma_series(k: int, m: int, prec: int) -> QSeries:
         for j in range(d, top + 1, d):
             sig[j] += dk
     out = [0] * (prec - m)
-    for n in range(1, top + 1):
-        out[m * n - m] = sig[n]
-    return QSeries.build(1, m, out, prec)
+    out[::m] = sig[1:]
+    return QSeries._make(1, m, out, 1, prec)
 
 
 def _check_phase(b) -> Fraction:
@@ -495,27 +539,38 @@ def _check_phase(b) -> Fraction:
     return b
 
 
-def _add_s(arr, den: int, c, b, w=1) -> None:
+def _add_s(arr, step: int, alternating: bool, w: int = 1) -> None:
     """Add w * S(c, b) into arr, whose slot k holds the coefficient of
     q^(k/den); terms at or beyond the end of arr are dropped.
 
     S(c, b) is the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
     factor: -4 sum_{d>=1} d eps^d q^(|c| d) with eps = e^(2 pi i b) for
     c != 0 (S is even in c), the constant 1 at c = 0, b = 1/2, and a pole at
-    c = b = 0.  b is 0 or 1/2 and c * den must be an integer."""
-    if c == 0:
-        if b == 0:
+    c = b = 0.  The caller passes the grid step |c| * den, an int, and
+    alternating = (b == 1/2)."""
+    if step == 0:
+        if not alternating:
             raise PoleAtArgument("1/sin^2 at the lattice origin")
         if arr:
             arr[0] += w
         return
-    step = abs(c) * den
-    assert step.denominator == 1, (c, den)
-    step = int(step)
     t = -4 * w
-    alternating = b != 0
-    for d, k in enumerate(range(step, len(arr), step), 1):
-        arr[k] += -t * d if alternating and d & 1 else t * d
+    if step >= len(arr):
+        return
+    if not alternating:
+        _ramp(arr, slice(step, None, step), t, t)
+        return
+    # eps^d = -1 at odd d
+    _ramp(arr, slice(step, None, 2 * step), -t, -2 * t)
+    if 2 * step < len(arr):
+        _ramp(arr, slice(2 * step, None, 2 * step), 2 * t, 2 * t)
+
+
+def _ramp(arr, at: slice, first: int, step: int) -> None:
+    """Add first, first + step, first + 2 step, ... to the slots of arr at
+    `at`."""
+    seg = arr[at]
+    arr[at] = list(map(operator.add, seg, range(first, first + step * len(seg), step)))
 
 
 def inv_sin2(c, b, prec) -> QSeries:
@@ -532,8 +587,8 @@ def inv_sin2(c, b, prec) -> QSeries:
     if pn < 0:
         raise InvalidPrecision(f"negative bound {prec}")
     arr = [0] * pn
-    _add_s(arr, den, c, b)
-    return QSeries.build(den, 0, arr, pn)
+    _add_s(arr, abs(c.numerator), b != 0)
+    return QSeries._make(den, 0, arr, 1, pn)
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,7 @@ from .qseries import (
     _check_phase,
     bernoulli,
     constant_series,
+    lincomb,
     sigma_series,
 )
 
@@ -51,30 +52,33 @@ def _torsion_den(a: Fraction) -> int:
 
 @lru_cache(maxsize=None)
 def wp_hat(a, b, m: int, prec) -> QSeries:
-    """q-expansion of the rescaled p-function torsion value (see module doc)."""
+    """q-expansion of the rescaled p-function torsion value (see module doc).
+
+    Each S term is accumulated three times over, so that the constant -1/3
+    becomes the numerator -1 over the series denominator 3."""
     a = _as_fraction(a)
-    b = _check_phase(b)
+    alternating = _check_phase(b) != 0
     if m < 1:
         raise ValueError(f"cover index must be >= 1, got {m}")
     if not (0 <= a < m):
         raise ValueError(f"offset {a} outside [0, {m})")
     den = _torsion_den(a)
-    if a == 0 and b == 0:
+    if a == 0 and not alternating:
         raise PoleAtArgument("wp_hat at the lattice origin")
-    bound = _as_fraction(prec)
-    pn = max(0, math.ceil(bound * den))
+    pn = max(0, math.ceil(_as_fraction(prec) * den))
     arr = [0] * pn
-    _add_s(arr, den, a, b)
-    n = 1
-    while n * m - a < bound:
-        c = n * m
-        _add_s(arr, den, c + a, b)
-        _add_s(arr, den, c - a, b)
-        _add_s(arr, den, c, 0, -2)
-        n += 1
+    # offsets and the cover index as steps on the exponent grid
+    sa, sm = int(a * den), m * den
+    _add_s(arr, sa, alternating, 3)
+    c = sm
+    while c - sa < pn:
+        _add_s(arr, c + sa, alternating, 3)
+        _add_s(arr, c - sa, alternating, 3)
+        _add_s(arr, c, False, -6)
+        c += sm
     if arr:
-        arr[0] += Fraction(-1, 3)
-    return QSeries.build(den, 0, arr, pn)
+        arr[0] -= 1
+    return QSeries._make(den, 0, arr, 3, pn)
 
 
 @lru_cache(maxsize=None)
@@ -90,21 +94,22 @@ def wpt_hat(a, b, m: int, prec) -> QSeries:
     if abs(a) == Fraction(m, 2) and b == HALF:
         raise PoleAtArgument(f"wpt_hat pole at offset {a} with phase 1/2")
     den = 2 if (m % 2 == 1 or a.denominator == 2) else 1
-    bound = _as_fraction(prec)
-    pn = max(0, math.ceil(bound * den))
+    pn = max(0, math.ceil(_as_fraction(prec) * den))
     arr = [0] * pn
-    bp = HALF - b  # b + 1/2 mod 1
-    for sign in (1, -1):
-        n = 0 if sign == 1 else -1
+    # exponents in halves: base = (n + 1/2) m is h/2 with h = (2n + 1) m,
+    # and the main term's c = base + a is (h + 2a)/2; on the grid each
+    # half counts den/2 steps
+    a2 = int(2 * a)
+    for h in (m, -m):
         while True:
-            base = (n + HALF) * m  # never zero
-            cmain = base + a
-            if abs(cmain) >= bound and abs(base) >= bound:
+            main = abs(h + a2) * den // 2
+            base = abs(h) * den // 2
+            if main >= pn and base >= pn:
                 break
-            _add_s(arr, den, cmain, bp)  # cmain = 0 only with bp = 1/2
-            _add_s(arr, den, base, HALF, -1)
-            n += sign
-    return QSeries.build(den, 0, arr, pn)
+            _add_s(arr, main, b == 0)  # phase b + 1/2; main = 0 only for b = 0
+            _add_s(arr, base, True, -1)
+            h += 2 * m if h > 0 else -2 * m
+    return QSeries._make(den, 0, arr, 1, pn)
 
 
 def wpt_valuation(a, b, m: int) -> Fraction:
@@ -128,7 +133,7 @@ def eisenstein(k: int, m: int, prec) -> QSeries:
         raise ValueError(f"multiplier must be >= 1, got {m}")
     pn = max(0, math.ceil(_as_fraction(prec)))
     coef = Fraction(-2 * k) / bernoulli(k)
-    return constant_series(1, pn) + sigma_series(k - 1, m, pn).scale(coef)
+    return lincomb(((1, constant_series(1, pn)), (coef, sigma_series(k - 1, m, pn))))
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +156,14 @@ def phi_level(N: int, prec, mode: str = "weierstrass") -> QSeries:
         raise UnknownLevel(f"Phi_N needs 2 <= N <= 10, got {N}")
     pn = max(0, math.ceil(_as_fraction(prec)))
     if mode == "weierstrass":
-        h = N // 2
-        acc = None
-        for k in range(1, h + 1):
-            t = wp_hat(Fraction(k), Fraction(0), N, pn)
-            if N % 2 == 0 and k == h:
-                pass  # the middle torsion point is its own partner
-            else:
-                t = t.scale(2)
-            acc = t if acc is None else acc + t
-        return acc.scale(Fraction(-3, N - 1))
+        # the middle torsion point of even N is its own partner
+        return lincomb(
+            (Fraction(-3 if 2 * k == N else -6, N - 1), wp_hat(Fraction(k), Fraction(0), N, pn))
+            for k in range(1, N // 2 + 1)
+        )
     if mode == "divisor":
-        s = sigma_series(1, 1, pn) - sigma_series(1, N, pn).scale(N)
-        return constant_series(1, pn) + s.scale(Fraction(24, N - 1))
+        c = Fraction(24, N - 1)
+        return lincomb(
+            ((1, constant_series(1, pn)), (c, sigma_series(1, 1, pn)), (-N * c, sigma_series(1, N, pn)))
+        )
     raise ValueError(f"unknown mode {mode!r}")

@@ -419,6 +419,15 @@ def test_exit_code_verify_failure(monkeypatch):
     assert code == 1
 
 
+def test_exit_code_expansion_short_of_its_bound(monkeypatch):
+    from test_levels import corrupt_e673
+
+    corrupt_e673(monkeypatch)
+    code, out, err = run("expand", "--expr", "E(2,7,0)*E(6,7,3)", "--prec", "12")
+    assert code == 2 and out == ""
+    assert err == "error: expansion reached q^9, below the requested bound q^12\n"
+
+
 @pytest.mark.parametrize("opening", ["(", "twist("])
 def test_exit_code_deep_nesting(opening):
     src = opening * 3000 + "E4" + ")" * 3000

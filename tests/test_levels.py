@@ -1,8 +1,12 @@
 """Expression trees, graded dimensions, triangular bases, and reduction
 of a series to basis coordinates."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +43,7 @@ from qmodular.expr import (
     val_lower,
     weight,
 )
+from qmodular import levels
 from qmodular.levels import (
     basis,
     basis_skeleton,
@@ -437,6 +442,53 @@ def test_expand_expr_square_of_weight_two_head():
 def test_expand_expr_rejects_negative_bound():
     with pytest.raises(InvalidPrecision):
         expand_expr(DeltaRef(2), -1)
+
+
+def corrupt_e673(monkeypatch):
+    """Nudge one coefficient of the registered E(6,7,3), as acceptance
+    criterion 7 does: it gains a constant term, below its valuation bound 3."""
+    row = levels._REGISTRY[(7, 6)]
+    terms = list(row[3].terms)
+    terms[1] = (terms[1][0] + Fraction(1, 1000003), terms[1][1])
+    monkeypatch.setitem(levels._REGISTRY, (7, 6), row[:3] + (Sum(terms),) + row[4:])
+
+
+# the product trusts E(6,7,3)'s valuation bound 3, so once that is wrong it
+# reaches only q^9 of the q^12 asked
+SHORT_PRODUCT = Product((GeneratorRef(7, 2, 0), GeneratorRef(7, 6, 3)))
+
+
+def test_expansion_short_of_its_bound_raises(monkeypatch):
+    assert expand_expr(SHORT_PRODUCT, 12).bound == 12
+    corrupt_e673(monkeypatch)
+    with pytest.raises(InsufficientPrecision, match=r"reached q\^9, below the requested bound q\^12"):
+        expand_expr(SHORT_PRODUCT, 12)
+
+
+def test_expansion_short_of_its_bound_raises_under_optimize():
+    # python -O strips assert statements; the check must survive them
+    script = (
+        "from fractions import Fraction\n"
+        "from qmodular import levels\n"
+        "from qmodular.errors import InsufficientPrecision\n"
+        "from qmodular.expr import GeneratorRef, Product, Sum\n"
+        "row = levels._REGISTRY[(7, 6)]\n"
+        "terms = list(row[3].terms)\n"
+        "terms[1] = (terms[1][0] + Fraction(1, 1000003), terms[1][1])\n"
+        "levels._REGISTRY[(7, 6)] = row[:3] + (Sum(terms),) + row[4:]\n"
+        "e = Product((GeneratorRef(7, 2, 0), GeneratorRef(7, 6, 3)))\n"
+        "try:\n"
+        "    print('returned', levels.expand_expr(e, 12).bound)\n"
+        "except InsufficientPrecision as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised expansion reached q^9"), done.stdout
 
 
 @pytest.mark.parametrize("e", [DeltaRef(1), DeltaRef(2), EtaAtom([(1, 24)])])
