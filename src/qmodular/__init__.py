@@ -1,6 +1,6 @@
 """Exact q-expansions of modular forms on Gamma0(N), 1 <= N <= 10."""
 
-from .qseries import QSeries, lincomb, monomial, zero_series, one_series, sigma_series, inv_sin2
+from .qseries import QSeries, monomial, zero_series, one_series, sigma_series, inv_sin2
 from .eta import EtaQuotient, delta, level_unit
 from .weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
 from .levels import (
@@ -18,7 +18,6 @@ from .identities import check, check_all
 
 __all__ = [
     "QSeries",
-    "lincomb",
     "monomial",
     "zero_series",
     "one_series",

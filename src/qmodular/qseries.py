@@ -143,9 +143,7 @@ def _miller(f, n: int):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
@@ -283,10 +281,7 @@ class QSeries:
 
     def scale(self, c) -> "QSeries":
         """Multiply by an exact rational scalar."""
-        c = _as_fraction(c)
-        p = c.numerator
-        nums = self.nums if p == 1 else [p * x for x in self.nums]
-        return QSeries._make(self.den, self.val, nums, self.d * c.denominator, self.prec)
+        return lincomb(((c, self),))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         den = self.den if self.den == other.den else 2
@@ -380,10 +375,8 @@ class QSeries:
         p = -(-b.numerator * self.den // b.denominator)
         if p >= self.prec:
             return self
-        if p <= self.val:
-            return QSeries._make(self.den, p, (), 1, p)
         # dropping terms can lower the common denominator
-        return QSeries._make(self.den, self.val, self.nums[: p - self.val], self.d, p)
+        return QSeries._make(self.den, self.val, self.nums[: max(0, p - self.val)], self.d, p)
 
     def shift(self, s) -> "QSeries":
         """Multiply by q^s for an exact rational s with denominator 1 or 2."""
@@ -446,18 +439,13 @@ def lincomb(terms) -> QSeries:
 
 
 def _fmt_exp(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"({e})"
+    return str(e) if e.denominator == 1 else f"({e})"
 
 
 def _fmt_term(c: Fraction, e: Fraction) -> str:
     if e == 0:
         return str(c)
-    if e == 1:
-        q = "q"
-    else:
-        q = f"q^{_fmt_exp(e)}"
+    q = "q" if e == 1 else f"q^{_fmt_exp(e)}"
     if c == 1:
         return q
     if c.denominator == 1:
