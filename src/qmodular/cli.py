@@ -39,7 +39,15 @@ import time
 from fractions import Fraction
 
 from . import identities
-from .errors import InvalidPrecision, NotInSpan, ParseError, QModularError
+from .errors import (
+    InvalidPrecision,
+    NotInSpan,
+    ParseError,
+    QModularError,
+    UnknownGenerator,
+    UnknownLevel,
+    UnsupportedWeight,
+)
 from .eta import DELTA_TABLE
 from .expr import (
     DeltaRef,
@@ -59,7 +67,7 @@ from .expr import (
     val_lower,
     weight,
 )
-from .levels import basis, dimension, expand_expr, reduce
+from .levels import _resolve_ref, basis, dimension, expand_expr, reduce
 
 # ---------------------------------------------------------------------------
 # expression parsing
@@ -258,6 +266,12 @@ class _Parser:
             return DeltaRef(n)
         if text == "E":
             w, n, s = self.parse_args(3)
+            # resolved here, so a name with no registered generator fails
+            # at every bound, not only at bounds past its index
+            try:
+                _resolve_ref(n, w, s)
+            except (UnknownGenerator, UnknownLevel, UnsupportedWeight) as exc:
+                self.fail(str(exc), pos)
             return GeneratorRef(n, w, s)
         if text == "Eis":
             self.expect_op("(")

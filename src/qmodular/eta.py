@@ -9,8 +9,10 @@ The Euler product prod (1 - q^n) is generated from its pentagonal-number
 expansion (exponents k(3k-1)/2), which keeps quotient expansion cheap; the
 test suite checks it against naive term-by-term binomial products.  Each
 factor's power, negative exponents included, comes from QSeries.pow's power
-recurrence, whose cost scales with the nonzero terms of its base: O(n sqrt(n))
-for a sparse Euler factor with n known terms.
+recurrence, whose cost scales with the known and nonzero terms of its base.
+The factor of eta(m tau) below q^n is a series in q^m, so the recurrence
+runs on its ceil(n/m) compressed terms, of which O(sqrt(n/m)) are nonzero:
+O((n/m)^(3/2)) in all.
 """
 
 from __future__ import annotations

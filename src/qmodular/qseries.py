@@ -16,6 +16,14 @@ operand has at most _KRONECKER_MIN nonzero terms, a schoolbook loop
 multiplies term by term, skipping zeros.  Otherwise the numerators are
 packed into one big int each (Kronecker substitution), and a single
 CPython multiplication gives every coefficient of the product.
+
+Many long operands are series in q^t: an Euler factor prod (1 - q^(m n))
+is one in q^m, and an integer-grid series spread onto the half grid has
+every other slot zero.  Such numerators are nonzero only at multiples of
+t (their stride), and no path multiplies the zero slots between them.  A
+product splits the other operand into its t residue sections and
+multiplies each by the compressed list; a power works on the compressed
+list and spreads the result back.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Union
 
 from .errors import (
@@ -83,15 +92,47 @@ def _kronecker(a, b, n: int) -> list:
     return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, k * n, k)]
 
 
+def _stride(nums) -> int:
+    """The gcd of the indices of the nonzero entries of nums: every nonzero
+    entry sits at a multiple of it (0 when none sits past index 0).  The
+    scan stops where the gcd reaches 1, so a dense list costs two steps."""
+    t = 0
+    for i in compress(range(len(nums)), nums):
+        t = math.gcd(t, i)
+        if t == 1:
+            break
+    return t
+
+
 def _product(a, b, n: int) -> list:
     """The first n coefficients of the product of the int sequences a and b
-    (each at most n long): Kronecker substitution when both have more than
-    _KRONECKER_MIN nonzero terms, else the schoolbook loop with the sparser
-    operand outside."""
+    (each at most n long).
+
+    When both have more than _KRONECKER_MIN nonzero terms and the one with
+    the larger stride, b, is a series in q^t (t > 1), the product splits
+    into t products of about n/t slots: section r of the result, out[r::t],
+    is the product of a's section a[r::t] and b[::t], each multiplied by
+    this same rule.  So b is packed without its zero slots, and two
+    operands in q^t make one product of their compressed lists.  Two long
+    operands of stride 1 go through Kronecker substitution; a short or
+    sparse one takes the schoolbook loop, the sparser operand outside."""
     na = len(a) - a.count(0)
     nb = len(b) - b.count(0)
     if min(na, nb) > _KRONECKER_MIN:
-        return _kronecker(a, b, n)
+        ta = _stride(a)
+        t = ta if b is a else _stride(b)
+        if ta > t:
+            a, b, t = b, a, ta
+        if t == 1:
+            return _kronecker(a, b, n)
+        out = [0] * n
+        for r in range(t):
+            ar = a[r::t]
+            if any(ar):
+                br = b[: n - r : t]
+                # a squaring passes one list, so _kronecker packs it once
+                out[r::t] = _product(br if b is a else ar, br, len(range(r, n, t)))
+        return out
     if nb < na:
         a, b = b, a
     terms = [(j, y) for j, y in enumerate(b) if y]
@@ -308,7 +349,10 @@ class QSeries:
         an L-term Euler factor.  Binary powering costs one Kronecker product
         per step instead, so pow takes it for n >= 2 when f has more than
         _KRONECKER_MIN nonzero terms per step.  Either way the result keeps
-        f's relative precision (prec - val steps).
+        f's relative precision (prec - val steps).  The power of a series
+        in q^t (numerators of stride t) is one in q^t too, so either method
+        runs on the ceil(L/t) numerators f[::t], and the result is spread
+        back every t slots.
 
         pow(f, 0) is 1 carried to that relative precision and raises
         InvalidPrecision when the window is empty.  A zero-so-far f gives
@@ -324,16 +368,25 @@ class QSeries:
                 raise NotInvertible("leading coefficient unknown (zero so far)")
             return QSeries._make(self.den, n * self.prec, (), 1, n * self.prec)
         size = len(f)
+        # f in q^t: power the compressed f[::t] and spread the result back;
+        # a lone leading term (stride 0) compresses to [f0]
+        t = _stride(f) or size
+        f = f[::t]
+        short = len(f)
         steps = n.bit_length() + bin(n).count("1") - 2
-        if n >= 2 and size - f.count(0) > _KRONECKER_MIN * steps:
+        if n >= 2 and short - f.count(0) > _KRONECKER_MIN * steps:
             g = f
             for bit in bin(n)[3:]:
-                g = _kronecker(g, g, size)
+                g = _kronecker(g, g, short)
                 if bit == "1":
-                    g = _kronecker(g, f, size)
+                    g = _kronecker(g, f, short)
             d = 1
         else:
             g, d = _miller(f, n)
+        if t > 1:
+            spread = [0] * size
+            spread[::t] = g
+            g = spread
         if n > 0:
             d *= self.d**n
         elif self.d != 1:

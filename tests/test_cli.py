@@ -403,6 +403,28 @@ def test_exit_code_domain_errors():
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("E(2,7,9)", "no generator E(2,7,9)"),
+        ("E(2,11,9)", "level must be in 1..10, got 11"),
+        ("E(3,7,9)", "weight must be an even integer >= 2, got 3"),
+    ],
+)
+@pytest.mark.parametrize("prec", [None, "3", "9", "20"])
+def test_exit_code_unknown_generator_at_every_bound(name, message, prec):
+    # below q^9 a generator of index 9 would vanish by its valuation alone,
+    # so the name must fail before anything is expanded
+    bound = () if prec is None else ("--prec", prec)
+    for argv in (
+        ("expand", "--expr", f"E4 + {name}"),
+        ("reduce", "--level", "7", "--weight", "4", "--expr", f"E4 + {name}"),
+    ):
+        code, out, err = run(*argv, *bound)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} (at position 5)\n"
+
+
 def test_exit_code_verify_failure(monkeypatch):
     g = GeneratorRef(2, 2, 0)
     case = IdentityCase(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmodular import qseries
+from qmodular.eta import euler_product
 from qmodular.errors import (
     FractionalExponent,
     InvalidPrecision,
@@ -429,35 +430,70 @@ def test_dense_pow_matches_list_oracles(f, n):
 def test_kronecker_path_selection(monkeypatch):
     """Products take Kronecker substitution only when both operands have
     more than _KRONECKER_MIN nonzero terms, and pow(n) only for n >= 2 and
-    more than _KRONECKER_MIN nonzero terms per step of binary powering."""
+    more than _KRONECKER_MIN nonzero terms per step of binary powering.  A
+    series in q^t is packed, or powered by Miller's recurrence, without its
+    zero slots."""
     calls = []
-    real = qseries._kronecker
+    real_kronecker = qseries._kronecker
+    real_miller = qseries._miller
 
-    def spy(a, b, n):
-        calls.append(n)
-        return real(a, b, n)
+    def kronecker(a, b, n):
+        calls.append(("kronecker", len(a), len(b), n, a is b))
+        return real_kronecker(a, b, n)
 
-    monkeypatch.setattr(qseries, "_kronecker", spy)
+    def miller(f, n):
+        calls.append(("miller", len(f)))
+        return real_miller(f, n)
+
+    monkeypatch.setattr(qseries, "_kronecker", kronecker)
+    monkeypatch.setattr(qseries, "_miller", miller)
 
     def dense(size):
         return QSeries.build(1, 0, [1 + i % 5 for i in range(size)], size)
 
-    def taken(thunk):
+    def made(thunk):
         calls.clear()
         thunk()
-        return len(calls)
+        return [c for c in calls if c[0] == "kronecker"]
 
-    assert taken(lambda: dense(KRON) * dense(3 * KRON)) == 0
-    assert taken(lambda: dense(KRON + 1) * dense(KRON + 1)) == 1
+    # dense operands take exactly the calls they took before the sections
+    assert made(lambda: dense(KRON) * dense(3 * KRON)) == []
+    assert made(lambda: dense(KRON + 1) * dense(KRON + 1)) == [
+        ("kronecker", KRON + 1, KRON + 1, KRON + 1, False)
+    ]
     # a sparse operand, however long, keeps the schoolbook loop
-    assert taken(lambda: one_series(3 * KRON) * dense(3 * KRON)) == 0
+    assert made(lambda: one_series(3 * KRON) * dense(3 * KRON)) == []
     # pow(2) is one squaring, pow(3) a squaring and a product, pow(6) three
-    assert taken(lambda: dense(KRON + 1).pow(2)) == 1
-    assert taken(lambda: dense(2 * KRON).pow(3)) == 0
-    assert taken(lambda: dense(2 * KRON + 1).pow(3)) == 2
-    assert taken(lambda: dense(3 * KRON + 1).pow(6)) == 3
-    assert taken(lambda: dense(3 * KRON + 1).pow(-1)) == 0
-    assert taken(lambda: dense(3 * KRON + 1).pow(1)) == 0
+    f = dense(KRON + 1)
+    assert made(lambda: f.pow(2)) == [("kronecker", KRON + 1, KRON + 1, KRON + 1, True)]
+    f = dense(2 * KRON)
+    assert made(lambda: f.pow(3)) == []
+    assert len(made(lambda: dense(2 * KRON + 1).pow(3))) == 2
+    assert len(made(lambda: dense(3 * KRON + 1).pow(6))) == 3
+    assert made(lambda: dense(3 * KRON + 1).pow(-1)) == []
+    assert made(lambda: dense(3 * KRON + 1).pow(1)) == []
+
+    # a dense 3K-term series times one in q^3: three products of K slots
+    k = KRON + 8
+    assert made(lambda: dense(3 * k) * dense(k).substitute_power(3)) == [
+        ("kronecker", k, k, k, False)
+    ] * 3
+    # ... unless a section is short: here section 2 holds three terms and
+    # takes the schoolbook loop
+    a = QSeries.build(1, 0, [0 if i % 3 == 2 and i > 9 else 1 for i in range(3 * k)], 3 * k)
+    assert made(lambda: a * dense(k).substitute_power(3)) == [("kronecker", k, k, k, False)] * 2
+
+    # squaring a dense series in q^2 packs one list once, at half length
+    f = dense(k).substitute_power(2)
+    assert made(lambda: f * f) == [("kronecker", k, k, k, True)]
+    assert made(lambda: f.pow(2)) == [("kronecker", k, k, k, True)]
+
+    # an Euler factor in q^m runs Miller's recurrence on ceil(1000/m) terms
+    for m in range(1, 11):
+        for e in (-8, -1, 6, 24):
+            calls.clear()
+            euler_product(m, 1000).pow(e)
+            assert calls == [("miller", -(-1000 // m))], (m, e)
 
 
 @settings(max_examples=100, deadline=None)
