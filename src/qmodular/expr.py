@@ -3,9 +3,16 @@
 A FormExpr describes how a modular form is assembled from primitive atoms
 (torsion values, eta quotients, Eisenstein series, level units, registered
 generators) by scaling, addition, multiplication and integer powers.  Trees
-are immutable and compare structurally; nothing here expands anything --
-expansion lives in levels.expand_expr, which uses the two cheap static
-queries every node supports:
+are immutable and hash-consed: constructing a node returns the live node of
+the same class and fields if there is one, found through a weak table, so
+the equal subtrees that separate parses, basis skeletons and requests build
+are one object while anything holds them.  Equality stays structural
+(identity is its fast path), and copy and pickle rebuild a node through its
+constructor, so copies are the interned node.  A node's hash is computed
+once, at construction, from its children's; nothing here expands anything --
+expansion lives in levels.expand_expr, which uses the two static queries
+every node supports, each computed on first use from the children's cached
+values and then kept on the node:
 
 * weight(e): the modular weight, an exact Fraction;
 * val_lower(e): a lower bound on the leading exponent of the expansion,
@@ -18,7 +25,7 @@ parse(print_expr(e)) round-trips for trees made of grammar constructs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 
 from .errors import WeightMismatch
@@ -26,143 +33,297 @@ from .eta import EtaQuotient, level_unit
 from .qseries import _as_fraction
 from .weierstrass import wpt_valuation
 
+_ZERO = Fraction(0)
+_TWO = Fraction(2)
+
+# Every live node, keyed by (class, *fields), held through a weak reference
+# whose callback drops the entry when the node dies, so that the table keeps
+# no node that nothing else holds.
+_NODES = {}
+
+
+def _forget(ref):
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+def _int_field(name: str, value) -> int:
+    """value if it is an int; bools, floats and Fractions are rejected, since
+    they compare equal to ints but print differently."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def _node(key):
+    """The live node whose key is (class, *normalized fields), made and
+    entered in the table if there is none."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(key[0])
+    for name, value in zip(node._fields, key[1:]):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_key", key)
+    object.__setattr__(node, "_hash", hash(key))
+    _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
 
 class FormExpr:
-    """Base marker for expression nodes."""
+    """Base of the expression nodes.
 
-    __slots__ = ()
+    A node holds its fields, its table key and hash, and the cached weight
+    (_weight) and valuation bound (_lower), which stay unset until first
+    asked for.  Subclasses list their fields in _fields, in constructor
+    order, and implement _weight_of and _lower_of over their children's
+    cached values."""
+
+    __slots__ = ("_key", "_hash", "_weight", "_lower", "__weakref__")
+    _fields = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._key[1:]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Scalar(FormExpr):
     """An exact rational constant (weight 0)."""
 
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", _as_fraction(value))
+    def __new__(cls, value):
+        return _node((cls, _as_fraction(value)))
+
+    def _weight_of(self):
+        return _ZERO
+
+    def _lower_of(self):
+        return _ZERO
 
 
-@dataclass(frozen=True)
 class GeneratorRef(FormExpr):
     """Reference to the registered generator E^(index) of the given weight
     on the given level; resolved against the level registry at expansion."""
 
-    level: int
-    weight: int
-    index: int
+    __slots__ = _fields = ("level", "weight", "index")
+
+    def __new__(cls, level, weight, index):
+        return _node(
+            (
+                cls,
+                _int_field("generator level", level),
+                _int_field("generator weight", weight),
+                _int_field("generator index", index),
+            )
+        )
+
+    def _weight_of(self):
+        return Fraction(self.weight)
+
+    def _lower_of(self):
+        # the index alone, never the registry: an edited registry cannot
+        # leave a stale bound here (expand_expr checks what it reached)
+        return Fraction(self.index)
 
 
-@dataclass(frozen=True)
 class DeltaRef(FormExpr):
     """The level unit Delta_N (an eta quotient; see the level table)."""
 
-    level: int
+    __slots__ = _fields = ("level",)
+
+    def __new__(cls, level):
+        return _node((cls, _int_field("Delta level", level)))
+
+    def _weight_of(self):
+        return Fraction(level_unit(self.level).rho)
+
+    def _lower_of(self):
+        return Fraction(level_unit(self.level).nu)
 
 
-@dataclass(frozen=True)
 class _TorsionAtom(FormExpr):
     """A torsion value at offset a*tau + b on the m-fold cover.  a, b are
     rationals with denominator dividing 2."""
 
-    a: Fraction
-    b: Fraction
-    m: int
+    __slots__ = _fields = ("a", "b", "m")
 
-    def __init__(self, a, b, m):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "m", int(m))
+    def __new__(cls, a, b, m):
+        m = _int_field("torsion cover m", m)
+        return _node((cls, _as_fraction(a), _as_fraction(b), m))
+
+    def _weight_of(self):
+        return _TWO
 
 
 class WpAtom(_TorsionAtom):
     """Torsion value of the rescaled p-function."""
 
+    __slots__ = ()
+
+    def _lower_of(self):
+        return _ZERO
+
 
 class WptAtom(_TorsionAtom):
     """Torsion value of the half-period-shifted companion function."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def _lower_of(self):
+        return wpt_valuation(self.a, self.b, self.m)
+
+
 class EtaAtom(FormExpr):
     """An eta quotient as a leaf."""
 
-    quotient: EtaQuotient
+    __slots__ = _fields = ("quotient",)
 
-    def __init__(self, quotient):
+    def __new__(cls, quotient):
         if not isinstance(quotient, EtaQuotient):
             quotient = EtaQuotient(quotient)
-        object.__setattr__(self, "quotient", quotient)
+        return _node((cls, quotient))
+
+    def _weight_of(self):
+        return self.quotient.weight
+
+    def _lower_of(self):
+        return self.quotient.lead_exponent
 
 
-@dataclass(frozen=True)
 class EisensteinAtom(FormExpr):
     """The classical Eisenstein series E_k evaluated at m*tau (even k >= 4)."""
 
-    k: int
-    m: int = 1
+    __slots__ = _fields = ("k", "m")
+
+    def __new__(cls, k, m=1):
+        k = _int_field("Eisenstein weight k", k)
+        return _node((cls, k, _int_field("Eisenstein multiplier m", m)))
+
+    def _weight_of(self):
+        return Fraction(self.k)
+
+    def _lower_of(self):
+        return _ZERO
 
 
-@dataclass(frozen=True)
 class PhiAtom(FormExpr):
     """The normalized weight-2 level series Phi_N.  mode selects the
     expansion route ('weierstrass' torsion sum or 'divisor' sigma sum);
     both agree and the identity suite keeps them comparable."""
 
-    level: int
-    mode: str = "weierstrass"
+    __slots__ = _fields = ("level", "mode")
+
+    def __new__(cls, level, mode="weierstrass"):
+        return _node((cls, _int_field("Phi level", level), mode))
+
+    def _weight_of(self):
+        return _TWO
+
+    def _lower_of(self):
+        return _ZERO
 
 
-@dataclass(frozen=True)
 class Sum(FormExpr):
     """Linear combination: tuple of (coefficient, expression) terms, all of
     the same weight."""
 
-    terms: tuple
+    __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms):
+    def __new__(cls, terms):
         items = tuple((_as_fraction(c), e) for c, e in terms)
         for _, e in items:
             if not isinstance(e, FormExpr):
                 raise TypeError(f"sum term {e!r} is not a FormExpr")
-        object.__setattr__(self, "terms", items)
+        return _node((cls, items))
+
+    def _weight_of(self):
+        ws = [weight(f) for _, f in self.terms]
+        for w in ws[1:]:
+            if w != ws[0]:
+                raise WeightMismatch(f"sum mixes weights {ws[0]} and {w}")
+        return ws[0] if ws else _ZERO
+
+    def _lower_of(self):
+        return min((val_lower(f) for _, f in self.terms), default=_ZERO)
 
 
-@dataclass(frozen=True)
 class Product(FormExpr):
     """Product of factors (weights add)."""
 
-    factors: tuple
+    __slots__ = _fields = ("factors",)
 
-    def __init__(self, factors):
+    def __new__(cls, factors):
         items = tuple(factors)
         for e in items:
             if not isinstance(e, FormExpr):
                 raise TypeError(f"product factor {e!r} is not a FormExpr")
-        object.__setattr__(self, "factors", items)
+        return _node((cls, items))
+
+    def _weight_of(self):
+        return sum((weight(f) for f in self.factors), _ZERO)
+
+    def _lower_of(self):
+        return sum((val_lower(f) for f in self.factors), _ZERO)
 
 
-@dataclass(frozen=True)
 class Power(FormExpr):
     """Nonnegative integer power of a base expression."""
 
-    base: FormExpr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
 
-    def __init__(self, base, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"power exponent must be a nonnegative int, got {exponent}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+    def __new__(cls, base, exponent):
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError(f"power exponent must be a nonnegative int, got {exponent!r}")
+        if not isinstance(base, FormExpr):
+            raise TypeError(f"power base {base!r} is not a FormExpr")
+        return _node((cls, base, exponent))
+
+    def _weight_of(self):
+        return weight(self.base) * self.exponent
+
+    def _lower_of(self):
+        return val_lower(self.base) * self.exponent
 
 
-@dataclass(frozen=True)
 class HalfTwist(FormExpr):
     """Apply q^(1/2) -> -q^(1/2) to the child's expansion.  Realizes the
     companion value at offsets shifted by (tau+1)/2-type half periods that
     are not directly in the atom domain."""
 
-    child: FormExpr
+    __slots__ = _fields = ("child",)
+
+    def __new__(cls, child):
+        if not isinstance(child, FormExpr):
+            raise TypeError(f"twisted expression {child!r} is not a FormExpr")
+        return _node((cls, child))
+
+    def _weight_of(self):
+        return weight(self.child)
+
+    def _lower_of(self):
+        return val_lower(self.child)
 
 
 # ---------------------------------------------------------------------------
@@ -171,65 +332,36 @@ class HalfTwist(FormExpr):
 
 
 def weight(e: FormExpr) -> Fraction:
-    """Modular weight of the expression, as an exact Fraction.
+    """Modular weight of the expression, as an exact Fraction, computed once
+    per node.
 
-    Raises WeightMismatch if a Sum mixes weights."""
-    if isinstance(e, Scalar):
-        return Fraction(0)
-    if isinstance(e, GeneratorRef):
-        return Fraction(e.weight)
-    if isinstance(e, DeltaRef):
-        return Fraction(level_unit(e.level).rho)
-    if isinstance(e, (_TorsionAtom, PhiAtom)):
-        return Fraction(2)
-    if isinstance(e, EtaAtom):
-        return e.quotient.weight
-    if isinstance(e, EisensteinAtom):
-        return Fraction(e.k)
-    if isinstance(e, HalfTwist):
-        return weight(e.child)
-    if isinstance(e, Sum):
-        ws = [weight(f) for _, f in e.terms]
-        for w in ws[1:]:
-            if w != ws[0]:
-                raise WeightMismatch(
-                    f"sum mixes weights {ws[0]} and {w}"
-                )
-        return ws[0] if ws else Fraction(0)
-    if isinstance(e, Product):
-        return sum((weight(f) for f in e.factors), Fraction(0))
-    if isinstance(e, Power):
-        return weight(e.base) * e.exponent
-    raise TypeError(f"not a FormExpr: {e!r}")
+    Raises WeightMismatch if a Sum mixes weights, on every call: a failure
+    is not cached."""
+    try:
+        return e._weight
+    except AttributeError:
+        if not isinstance(e, FormExpr):
+            raise TypeError(f"not a FormExpr: {e!r}") from None
+    w = e._weight_of()
+    object.__setattr__(e, "_weight", w)
+    return w
 
 
 def val_lower(e: FormExpr) -> Fraction:
-    """A lower bound on the leading exponent of e's q-expansion.
+    """A lower bound on the leading exponent of e's q-expansion, computed
+    once per node.
 
     Exact for every atom; for composites it is the natural combination
     (min over sum terms, sum over product factors), which stays a sound
     bound even when cancellation raises the true valuation."""
-    if isinstance(e, (Scalar, WpAtom, EisensteinAtom, PhiAtom)):
-        return Fraction(0)
-    if isinstance(e, WptAtom):
-        return wpt_valuation(e.a, e.b, e.m)
-    if isinstance(e, EtaAtom):
-        return e.quotient.lead_exponent
-    if isinstance(e, DeltaRef):
-        return Fraction(level_unit(e.level).nu)
-    if isinstance(e, GeneratorRef):
-        return Fraction(e.index)
-    if isinstance(e, HalfTwist):
-        return val_lower(e.child)
-    if isinstance(e, Sum):
-        if not e.terms:
-            return Fraction(0)
-        return min(val_lower(f) for _, f in e.terms)
-    if isinstance(e, Product):
-        return sum((val_lower(f) for f in e.factors), Fraction(0))
-    if isinstance(e, Power):
-        return val_lower(e.base) * e.exponent
-    raise TypeError(f"not a FormExpr: {e!r}")
+    try:
+        return e._lower
+    except AttributeError:
+        if not isinstance(e, FormExpr):
+            raise TypeError(f"not a FormExpr: {e!r}") from None
+    v = e._lower_of()
+    object.__setattr__(e, "_lower", v)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -471,11 +471,11 @@ def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
         factors = ([folded] if folded is not None else []) + rest
         if len(factors) == 1:
             return _expand(factors[0], bound, cache)
-        lows = [val_lower(f) for f in factors]
-        slack = bound - sum(lows)
+        # folding keeps the product's bound: val_lower is additive
+        slack = bound - val_lower(e)
         acc = None
-        for f, lo in zip(factors, lows):
-            t = _expand(f, slack + lo, cache)
+        for f in factors:
+            t = _expand(f, slack + val_lower(f), cache)
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):

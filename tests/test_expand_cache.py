@@ -27,7 +27,6 @@ from qmodular.expr import (
     Sum,
     WpAtom,
     WptAtom,
-    val_lower,
 )
 from qmodular.identities import REGISTRY as IDENTITIES
 from qmodular.levels import (
@@ -42,6 +41,8 @@ from qmodular.levels import (
 )
 from qmodular.qseries import constant_series, zero_series
 from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
+
+from expr_oracle import val_lower
 
 
 # ---------------------------------------------------------------------------

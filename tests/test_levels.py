@@ -44,6 +44,7 @@ from qmodular.expr import (
     weight,
 )
 from qmodular import levels
+from qmodular.cli import parse_expr
 from qmodular.levels import (
     basis,
     basis_skeleton,
@@ -55,6 +56,7 @@ from qmodular.levels import (
 from qmodular.qseries import HALF, monomial
 from qmodular.weierstrass import eisenstein, wp_hat, wpt_hat
 
+import expr_oracle as oracle
 from test_qseries import series_coeff_map
 
 # which (level, weight) pairs carry registered generator rows
@@ -93,10 +95,15 @@ def test_node_weights():
 
 def test_mixed_weight_sum_rejected():
     bad = Sum(((Fraction(1), WpAtom(1, 0, 2)), (Fraction(1), DeltaRef(2))))
-    with pytest.raises(WeightMismatch):
-        weight(bad)
-    with pytest.raises(WeightMismatch):
-        make_sum([(Fraction(1), WpAtom(1, 0, 2)), (Fraction(1), DeltaRef(2))])
+    # every call raises: a failed weight is not cached on the node
+    for _ in range(2):
+        with pytest.raises(WeightMismatch):
+            weight(bad)
+        with pytest.raises(WeightMismatch):
+            make_sum([(Fraction(1), WpAtom(1, 0, 2)), (Fraction(1), DeltaRef(2))])
+        with pytest.raises(WeightMismatch):
+            parse_expr("wp(1,0,2) + Delta(2)")
+    assert val_lower(bad) == 0
 
 
 def test_valuation_floors():
@@ -459,10 +466,17 @@ SHORT_PRODUCT = Product((GeneratorRef(7, 2, 0), GeneratorRef(7, 6, 3)))
 
 
 def test_expansion_short_of_its_bound_raises(monkeypatch):
-    assert expand_expr(SHORT_PRODUCT, 12).bound == 12
+    clean = expand_expr(SHORT_PRODUCT, 12)
+    assert clean.bound == 12
+    assert val_lower(SHORT_PRODUCT) == 3
     corrupt_e673(monkeypatch)
+    # the cached bound never read the registry, so it is not stale: it is
+    # still the claimed one, and expand_expr is what catches the shortfall
+    assert val_lower(SHORT_PRODUCT) == oracle.val_lower(SHORT_PRODUCT) == 3
     with pytest.raises(InsufficientPrecision, match=r"reached q\^9, below the requested bound q\^12"):
         expand_expr(SHORT_PRODUCT, 12)
+    monkeypatch.undo()
+    assert expand_expr(SHORT_PRODUCT, 12) == clean
 
 
 def test_expansion_short_of_its_bound_raises_under_optimize():
