@@ -33,9 +33,6 @@ from .eta import EtaQuotient, level_unit
 from .qseries import _as_fraction
 from .weierstrass import wpt_valuation
 
-_ZERO = Fraction(0)
-_TWO = Fraction(2)
-
 # Every live node, keyed by (class, *fields), held through a weak reference
 # whose callback drops the entry when the node dies, so that the table keeps
 # no node that nothing else holds.
@@ -78,8 +75,7 @@ class FormExpr:
     A node holds its fields, its table key and hash, and the cached weight
     (_weight) and valuation bound (_lower), which stay unset until first
     asked for.  Subclasses list their fields in _fields, in constructor
-    order, and implement _weight_of and _lower_of over their children's
-    cached values."""
+    order."""
 
     __slots__ = ("_key", "_hash", "_weight", "_lower", "__weakref__")
     _fields = ()
@@ -116,12 +112,6 @@ class Scalar(FormExpr):
     def __new__(cls, value):
         return _node((cls, _as_fraction(value)))
 
-    def _weight_of(self):
-        return _ZERO
-
-    def _lower_of(self):
-        return _ZERO
-
 
 class GeneratorRef(FormExpr):
     """Reference to the registered generator E^(index) of the given weight
@@ -139,14 +129,6 @@ class GeneratorRef(FormExpr):
             )
         )
 
-    def _weight_of(self):
-        return Fraction(self.weight)
-
-    def _lower_of(self):
-        # the index alone, never the registry: an edited registry cannot
-        # leave a stale bound here (expand_expr checks what it reached)
-        return Fraction(self.index)
-
 
 class DeltaRef(FormExpr):
     """The level unit Delta_N (an eta quotient; see the level table)."""
@@ -155,12 +137,6 @@ class DeltaRef(FormExpr):
 
     def __new__(cls, level):
         return _node((cls, _int_field("Delta level", level)))
-
-    def _weight_of(self):
-        return Fraction(level_unit(self.level).rho)
-
-    def _lower_of(self):
-        return Fraction(level_unit(self.level).nu)
 
 
 class _TorsionAtom(FormExpr):
@@ -173,26 +149,17 @@ class _TorsionAtom(FormExpr):
         m = _int_field("torsion cover m", m)
         return _node((cls, _as_fraction(a), _as_fraction(b), m))
 
-    def _weight_of(self):
-        return _TWO
-
 
 class WpAtom(_TorsionAtom):
     """Torsion value of the rescaled p-function."""
 
     __slots__ = ()
 
-    def _lower_of(self):
-        return _ZERO
-
 
 class WptAtom(_TorsionAtom):
     """Torsion value of the half-period-shifted companion function."""
 
     __slots__ = ()
-
-    def _lower_of(self):
-        return wpt_valuation(self.a, self.b, self.m)
 
 
 class EtaAtom(FormExpr):
@@ -205,12 +172,6 @@ class EtaAtom(FormExpr):
             quotient = EtaQuotient(quotient)
         return _node((cls, quotient))
 
-    def _weight_of(self):
-        return self.quotient.weight
-
-    def _lower_of(self):
-        return self.quotient.lead_exponent
-
 
 class EisensteinAtom(FormExpr):
     """The classical Eisenstein series E_k evaluated at m*tau (even k >= 4)."""
@@ -220,12 +181,6 @@ class EisensteinAtom(FormExpr):
     def __new__(cls, k, m=1):
         k = _int_field("Eisenstein weight k", k)
         return _node((cls, k, _int_field("Eisenstein multiplier m", m)))
-
-    def _weight_of(self):
-        return Fraction(self.k)
-
-    def _lower_of(self):
-        return _ZERO
 
 
 class PhiAtom(FormExpr):
@@ -237,12 +192,6 @@ class PhiAtom(FormExpr):
 
     def __new__(cls, level, mode="weierstrass"):
         return _node((cls, _int_field("Phi level", level), mode))
-
-    def _weight_of(self):
-        return _TWO
-
-    def _lower_of(self):
-        return _ZERO
 
 
 class Sum(FormExpr):
@@ -258,16 +207,6 @@ class Sum(FormExpr):
                 raise TypeError(f"sum term {e!r} is not a FormExpr")
         return _node((cls, items))
 
-    def _weight_of(self):
-        ws = [weight(f) for _, f in self.terms]
-        for w in ws[1:]:
-            if w != ws[0]:
-                raise WeightMismatch(f"sum mixes weights {ws[0]} and {w}")
-        return ws[0] if ws else _ZERO
-
-    def _lower_of(self):
-        return min((val_lower(f) for _, f in self.terms), default=_ZERO)
-
 
 class Product(FormExpr):
     """Product of factors (weights add)."""
@@ -280,12 +219,6 @@ class Product(FormExpr):
             if not isinstance(e, FormExpr):
                 raise TypeError(f"product factor {e!r} is not a FormExpr")
         return _node((cls, items))
-
-    def _weight_of(self):
-        return sum((weight(f) for f in self.factors), _ZERO)
-
-    def _lower_of(self):
-        return sum((val_lower(f) for f in self.factors), _ZERO)
 
 
 class Power(FormExpr):
@@ -300,12 +233,6 @@ class Power(FormExpr):
             raise TypeError(f"power base {base!r} is not a FormExpr")
         return _node((cls, base, exponent))
 
-    def _weight_of(self):
-        return weight(self.base) * self.exponent
-
-    def _lower_of(self):
-        return val_lower(self.base) * self.exponent
-
 
 class HalfTwist(FormExpr):
     """Apply q^(1/2) -> -q^(1/2) to the child's expansion.  Realizes the
@@ -318,12 +245,6 @@ class HalfTwist(FormExpr):
         if not isinstance(child, FormExpr):
             raise TypeError(f"twisted expression {child!r} is not a FormExpr")
         return _node((cls, child))
-
-    def _weight_of(self):
-        return weight(self.child)
-
-    def _lower_of(self):
-        return val_lower(self.child)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +261,8 @@ def weight(e: FormExpr) -> Fraction:
     try:
         return e._weight
     except AttributeError:
-        if not isinstance(e, FormExpr):
-            raise TypeError(f"not a FormExpr: {e!r}") from None
-    w = e._weight_of()
+        pass
+    w = _weight_of(e)
     object.__setattr__(e, "_weight", w)
     return w
 
@@ -357,11 +277,66 @@ def val_lower(e: FormExpr) -> Fraction:
     try:
         return e._lower
     except AttributeError:
-        if not isinstance(e, FormExpr):
-            raise TypeError(f"not a FormExpr: {e!r}") from None
-    v = e._lower_of()
+        pass
+    v = _lower_of(e)
     object.__setattr__(e, "_lower", v)
     return v
+
+
+def _weight_of(e: FormExpr) -> Fraction:
+    if isinstance(e, Scalar):
+        return Fraction(0)
+    if isinstance(e, GeneratorRef):
+        return Fraction(e.weight)
+    if isinstance(e, DeltaRef):
+        return Fraction(level_unit(e.level).rho)
+    if isinstance(e, (_TorsionAtom, PhiAtom)):
+        return Fraction(2)
+    if isinstance(e, EtaAtom):
+        return e.quotient.weight
+    if isinstance(e, EisensteinAtom):
+        return Fraction(e.k)
+    if isinstance(e, HalfTwist):
+        return weight(e.child)
+    if isinstance(e, Sum):
+        ws = [weight(f) for _, f in e.terms]
+        for w in ws[1:]:
+            if w != ws[0]:
+                raise WeightMismatch(
+                    f"sum mixes weights {ws[0]} and {w}"
+                )
+        return ws[0] if ws else Fraction(0)
+    if isinstance(e, Product):
+        return sum((weight(f) for f in e.factors), Fraction(0))
+    if isinstance(e, Power):
+        return weight(e.base) * e.exponent
+    raise TypeError(f"not a FormExpr: {e!r}")
+
+
+def _lower_of(e: FormExpr) -> Fraction:
+    if isinstance(e, (Scalar, WpAtom, EisensteinAtom, PhiAtom)):
+        return Fraction(0)
+    if isinstance(e, WptAtom):
+        return wpt_valuation(e.a, e.b, e.m)
+    if isinstance(e, EtaAtom):
+        return e.quotient.lead_exponent
+    if isinstance(e, DeltaRef):
+        return Fraction(level_unit(e.level).nu)
+    if isinstance(e, GeneratorRef):
+        # the index alone, never the registry, so an edited registry leaves
+        # no stale bound here (expand_expr checks the bound it reached)
+        return Fraction(e.index)
+    if isinstance(e, HalfTwist):
+        return val_lower(e.child)
+    if isinstance(e, Sum):
+        if not e.terms:
+            return Fraction(0)
+        return min(val_lower(f) for _, f in e.terms)
+    if isinstance(e, Product):
+        return sum((val_lower(f) for f in e.factors), Fraction(0))
+    if isinstance(e, Power):
+        return val_lower(e.base) * e.exponent
+    raise TypeError(f"not a FormExpr: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,3 @@ def test_integer_fields_reject_non_ints(make):
 def test_power_exponent_rejects_non_ints(exponent):
     with pytest.raises(ValueError):
         Power(DeltaRef(2), exponent)
-
-
-def test_integer_fields_print_as_they_parse():
-    for e in (GeneratorRef(2, 2, 0), EisensteinAtom(4, 1), Power(DeltaRef(2), 1), WpAtom(1, 0, 2)):
-        assert parse_expr(print_expr(e)) is e
