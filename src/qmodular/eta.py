@@ -20,13 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import FractionalExponent, UnknownLevel
 from .qseries import QSeries, _as_fraction, one_series, zero_series
 
 
-@lru_cache(maxsize=None)
 def euler_function(prec: int) -> QSeries:
     """prod_{n>=1} (1 - q^n) below q^prec, via the pentagonal-number series
     1 + sum_{k>=1} (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))."""

@@ -384,7 +384,8 @@ class _ExpansionCache:
 
     def get(self, e: FormExpr, bound: Fraction):
         s = self.entries.get(e)
-        if s is None or s.bound < bound:
+        # s.bound < bound, without building the Fraction s.bound
+        if s is None or s.prec * bound.denominator < bound.numerator * s.den:
             self.misses += 1
             return None
         self.hits += 1
@@ -412,10 +413,10 @@ class _ExpansionCache:
 
 _CACHE = _ExpansionCache(_CACHE_BUDGET)
 
-# Nodes expanded without the cache: Scalar and PhiAtom cost O(bound), the
-# torsion and Eisenstein atoms have their own caches, and a GeneratorRef
-# stands for its registered expression, which is cached itself.
-_UNCACHED = (Scalar, WpAtom, WptAtom, EisensteinAtom, PhiAtom, GeneratorRef)
+# Nodes expanded without the cache: a Scalar's expansion is a constant and
+# zeros, cheaper to build than to store, and a GeneratorRef stands for its
+# registered expression, which is cached itself.
+_UNCACHED = (Scalar, GeneratorRef)
 
 
 def expand_cache_info() -> ExpandCacheInfo:
@@ -445,7 +446,9 @@ def _expand(e: FormExpr, bound: Fraction, cache) -> QSeries:
 def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
     if isinstance(e, Scalar):
         return constant_series(e.value, bound)
-    # torsion atoms are cached by ceil(bound); expand_expr truncates the rest
+    # Torsion atoms expand to ceil(bound), which fixes the answer's grid at a
+    # fractional bound: wp(5/2,1/2,5) is stored on the integer grid below q^1
+    # (its half-integer slots there are zero), on the half grid below q^(1/2).
     if isinstance(e, WpAtom):
         return wp_hat(e.a, e.b, e.m, math.ceil(bound))
     if isinstance(e, WptAtom):

@@ -551,7 +551,6 @@ def constant_series(value, prec) -> QSeries:
 # -- arithmetic generating series --------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def sigma_series(k: int, m: int, prec: int) -> QSeries:
     """Sum over n >= 1 of sigma_k(n) q^(m n), truncated below prec.
 

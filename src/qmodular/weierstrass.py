@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
 from .qseries import (
@@ -50,7 +49,6 @@ def _torsion_den(a: Fraction) -> int:
     return a.denominator
 
 
-@lru_cache(maxsize=None)
 def wp_hat(a, b, m: int, prec) -> QSeries:
     """q-expansion of the rescaled p-function torsion value (see module doc).
 
@@ -81,7 +79,6 @@ def wp_hat(a, b, m: int, prec) -> QSeries:
     return QSeries._make(den, 0, arr, 3, pn)
 
 
-@lru_cache(maxsize=None)
 def wpt_hat(a, b, m: int, prec) -> QSeries:
     """q-expansion of the half-period-shifted companion (see module doc)."""
     a = _as_fraction(a)

@@ -6,7 +6,9 @@ its counters show what it did.
 These tests clear the cache themselves, so they pass in a process of their
 own as well as after the rest of the suite has filled it."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,7 +41,7 @@ from qmodular.levels import (
     expand_expr,
     reduce,
 )
-from qmodular.qseries import constant_series, zero_series
+from qmodular.qseries import HALF, constant_series, zero_series
 from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
 
 from expr_oracle import val_lower
@@ -58,7 +60,7 @@ def uncached_expand(e: FormExpr, bound: Fraction):
 
     if isinstance(e, Scalar):
         return constant_series(e.value, bound)
-    # torsion atoms are cached by ceil(bound); expand_expr truncates the rest
+    # torsion atoms expand to ceil(bound); expand_expr truncates the rest
     if isinstance(e, WpAtom):
         return wp_hat(e.a, e.b, e.m, math.ceil(bound))
     if isinstance(e, WptAtom):
@@ -123,6 +125,21 @@ BASIS_ELEMENTS = [
     for ex in basis_skeleton(n, w)
 ]
 IDENTITY_SIDES = [side for case in IDENTITIES.values() for side in (case.lhs, case.rhs)]
+LEAF_ATOMS = [
+    WpAtom(1, 0, 7),
+    WpAtom(0, HALF, 3),
+    WpAtom(Fraction(5, 2), HALF, 5),
+    WptAtom(1, 0, 2),
+    WptAtom(HALF, 0, 1),
+    WptAtom(Fraction(-3, 2), 0, 3),
+    WptAtom(0, HALF, 5),
+    EisensteinAtom(4, 1),
+    EisensteinAtom(6, 5),
+] + [PhiAtom(n, mode) for n in (2, 5, 7, 10) for mode in ("weierstrass", "divisor")]
+# each leaf alone, then squared: a square hands its base the bound minus the
+# base's valuation, so half-valued leaves are also looked up at bounds off
+# the integer grid
+LEAVES = LEAF_ATOMS + [Power(a, 2) for a in LEAF_ATOMS]
 
 F = Fraction
 # bounds requested in rising, falling and fractional order; 17/3 rounds
@@ -137,7 +154,9 @@ ORDERS = {
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize(
-    "exprs", [BASIS_ELEMENTS, IDENTITY_SIDES], ids=["basis", "identities"]
+    "exprs",
+    [BASIS_ELEMENTS, IDENTITY_SIDES, LEAVES],
+    ids=["basis", "identities", "leaves"],
 )
 def test_cached_expansion_equals_the_uncached_one(order, exprs):
     expand_cache_clear()
@@ -236,3 +255,25 @@ def test_bounds_the_two_grids_round_apart_bypass_the_cache():
     for b in (F(1, 3), F(9, 2), F(13, 3)):
         expand_expr(Power(DeltaRef(2), 3), b)
     assert expand_cache_info() == (0, 0, 0, 0)
+
+
+def test_a_rising_bound_session_keeps_one_entry_per_atom():
+    atoms = (WpAtom(1, 0, 7), WptAtom(1, 0, 2), EisensteinAtom(4, 1), PhiAtom(7))
+    expand_cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for b in range(50, 1001, 50):
+            for a in atoms:
+                expand_expr(a, b)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the longest expansion of each atom answers every shorter request
+    assert set(levels._CACHE.entries) == set(atoms)
+    info = expand_cache_info()
+    assert info.coefficients == 4 * 1000 <= levels._CACHE.budget
+    # what stays is those entries, about 30 bytes per stored coefficient
+    assert held < 64 * info.coefficients

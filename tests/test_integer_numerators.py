@@ -196,7 +196,7 @@ def test_negative_powers_of_a_non_unit_lead():
 
 
 # ---------------------------------------------------------------------------
-# torsion kernels (wp_hat and wpt_hat without their caches)
+# torsion kernels (wp_hat and wpt_hat)
 # ---------------------------------------------------------------------------
 
 WP = [
@@ -214,7 +214,7 @@ WPT = [
     if not (abs(a2) == m and b == HALF)
 ]
 BOUNDS = list(range(0, 41)) + [Fraction(37, 3)]
-UNCACHED = {"wp_hat": wp_hat.__wrapped__, "wpt_hat": wpt_hat.__wrapped__}
+KERNELS = {"wp_hat": wp_hat, "wpt_hat": wpt_hat}
 
 
 def test_every_valid_argument_is_covered():
@@ -223,7 +223,7 @@ def test_every_valid_argument_is_covered():
 
 @pytest.mark.parametrize("kernel", ["wp_hat", "wpt_hat"])
 def test_torsion_kernels_match_the_fraction_kernels(kernel):
-    new, ref = UNCACHED[kernel], getattr(old, kernel)
+    new, ref = KERNELS[kernel], getattr(old, kernel)
     for a, b, m in WP if kernel == "wp_hat" else WPT:
         for bound in BOUNDS:
             assert_same(new(a, b, m, bound), ref(a, b, m, bound))
@@ -239,13 +239,13 @@ def test_torsion_kernels_match_the_fraction_kernels(kernel):
     ],
 )
 def test_torsion_kernels_match_at_a_deep_bound(kernel, a, b, m):
-    new, ref = UNCACHED[kernel], getattr(old, kernel)
+    new, ref = KERNELS[kernel], getattr(old, kernel)
     assert_same(new(a, b, m, 1000), ref(a, b, m, 1000))
 
 
 def test_torsion_kernel_poles_match():
     for kernel in ("wp_hat", "wpt_hat"):
-        new, ref = UNCACHED[kernel], getattr(old, kernel)
+        new, ref = KERNELS[kernel], getattr(old, kernel)
         a, b, m = (0, 0, 3) if kernel == "wp_hat" else (Fraction(3, 2), HALF, 3)
         for f in (new, ref):
             with pytest.raises(PoleAtArgument):

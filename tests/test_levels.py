@@ -427,18 +427,17 @@ def test_expand_expr_half_grid():
 
 
 def test_torsion_atoms_are_cached_by_the_integer_bound():
-    for atom, fn in ((WpAtom(1, 0, 2), wp_hat), (WptAtom(1, 0, 2), wpt_hat)):
-        fn.cache_clear()
-        for b in (Fraction(9, 2), 5, Fraction(13, 3)):
-            expand_expr(atom, b)
-        info = fn.cache_info()
+    # inside a tree a leaf meets bounds off the integer grid; its one
+    # expansion to ceil(bound) answers all three
+    cache = levels._CACHE
+    for atom in (WpAtom(1, 0, 2), WptAtom(1, 0, 2), PhiAtom(2)):
+        levels.expand_cache_clear()
+        cache.sync(levels._REGISTRY)
+        for b in (Fraction(9, 2), Fraction(5), Fraction(13, 3)):
+            assert levels._expand(atom, b, cache) == levels._expand(atom, b, None)
+        info = levels.expand_cache_info()
         assert (info.misses, info.hits) == (1, 2), atom
-    # Phi_2 is built from the same torsion value
-    wp_hat.cache_clear()
-    expand_expr(PhiAtom(2), Fraction(9, 2))
-    expand_expr(WpAtom(1, 0, 2), 5)
-    info = wp_hat.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+        assert info.coefficients == 5, atom
 
 
 def test_expand_expr_square_of_weight_two_head():
