@@ -180,9 +180,9 @@ class _Parser:
         kind, text, pos = self.lex.peek()
         if kind != "eof":
             self.fail(f"unexpected {text!r}", pos)
-        return e
+        return _as_node(e)
 
-    def parse_sum(self) -> FormExpr:
+    def parse_sum(self) -> FormExpr | Fraction:
         terms = []
         sign = -1 if self.eat_op("-") else 1
         terms.append(self.parse_term(sign))
@@ -195,37 +195,39 @@ class _Parser:
                 break
         if len(terms) == 1:
             c, core = terms[0]
-            if isinstance(core, Scalar) and core.value == 1:
-                return Scalar(c)
+            if core is None:
+                return c
             if c == 1:
                 return core
             return Sum([(c, core)])
-        s = Sum(terms)
+        s = Sum([(c, Scalar(1) if core is None else core) for c, core in terms])
         weight(s)  # raises WeightMismatch on mixed weights
         return s
 
     def parse_term(self, sign: int):
+        """(coefficient, core) of one term; the core is None when every
+        factor is a number."""
         coeff = Fraction(sign)
         cores = []
         while True:
             f = self.parse_factor()
-            if isinstance(f, Scalar):
-                coeff *= f.value
+            if isinstance(f, Fraction):
+                coeff *= f
             else:
                 cores.append(f)
             if not self.eat_op("*"):
                 break
         if not cores:
-            return (coeff, Scalar(1))
+            return (coeff, None)
         core = cores[0] if len(cores) == 1 else Product(cores)
         return (coeff, core)
 
-    def parse_factor(self) -> FormExpr:
+    def parse_factor(self) -> FormExpr | Fraction:
         base = self.parse_atom()
         if self.eat_op("^"):
             n = self.expect_capped_int("exponent", _MAX_EXPONENT)
-            if isinstance(base, Scalar):
-                return Scalar(base.value**n)
+            if isinstance(base, Fraction):
+                return base**n
             return Power(base, n)
         return base
 
@@ -246,10 +248,10 @@ class _Parser:
             self.fail(f"offset {x} must have denominator 1 or 2", pos)
         return x
 
-    def parse_atom(self) -> FormExpr:
+    def parse_atom(self) -> FormExpr | Fraction:
         kind, text, pos = self.lex.peek()
         if kind == "int":
-            return Scalar(self.parse_rational())
+            return self.parse_rational()
         if kind == "op" and text == "(":
             self.lex.next()
             return self.parse_nested(pos)
@@ -260,7 +262,7 @@ class _Parser:
             return EisensteinAtom(_EISENSTEIN_NAMES[text], 1)
         if text == "twist":
             self.expect_op("(")
-            return HalfTwist(self.parse_nested(pos))
+            return HalfTwist(_as_node(self.parse_nested(pos)))
         if text == "Delta":
             (n,) = self.parse_args(1)
             return DeltaRef(n)
@@ -300,7 +302,7 @@ class _Parser:
             return WpAtom(a, b, m) if text == "wp" else WptAtom(a, b, m)
         self.fail(f"unknown name {text!r}", pos)
 
-    def parse_nested(self, pos) -> FormExpr:
+    def parse_nested(self, pos) -> FormExpr | Fraction:
         """The expression after an opening '(' at pos, and its ')'."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
@@ -318,6 +320,11 @@ class _Parser:
             out.append(self.expect_int())
         self.expect_op(")")
         return out
+
+
+def _as_node(e) -> FormExpr:
+    """A parsed value as a node: a number becomes a Scalar."""
+    return Scalar(e) if isinstance(e, Fraction) else e
 
 
 def parse_expr(src: str) -> FormExpr:

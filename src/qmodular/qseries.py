@@ -14,8 +14,9 @@ coefficients as ints and Fractions.  Sums and scalar multiples go through
 one kernel, lincomb.  A product takes one of two paths.  When either
 operand has at most _KRONECKER_MIN nonzero terms, a schoolbook loop
 multiplies term by term, skipping zeros.  Otherwise the numerators are
-packed into one big int each (Kronecker substitution), and a single
-CPython multiplication gives every coefficient of the product.
+packed into big ints (Kronecker substitution), evaluated at the two
+points 2^N and -2^N, and two CPython multiplications of half the packed
+length give the even and the odd coefficients of the product.
 
 Many long operands are series in q^t: an Euler factor prod (1 - q^(m n))
 is one in q^m, and an integer-grid series spread onto the half grid has
@@ -63,15 +64,23 @@ def _bias(slots: int, k: int) -> int:
 
 
 def _kronecker(a, b, n: int) -> list:
-    """The first n coefficients of the product of the int lists a and b, by
-    Kronecker substitution.
+    """The first n coefficients of the product h = f g of the int lists a
+    and b, by two-point Kronecker substitution (D. Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution", 2009).
 
-    Each list becomes one int, coefficient i in the k-byte slot i, and one
-    CPython multiplication (Karatsuba) gives the product's coefficients in
-    the same slots.  A slot holds its coefficient plus half a slot, so every
-    slot is nonnegative and no borrow crosses into the next one; k is wide
-    enough for |sum_i a_i b_(j-i)| < min(len a, len b) * max|a| * max|b|
-    with a sign bit to spare."""
+    Write f(x) = E(x^2) + x O(x^2), with E and O the polynomials of a's
+    even and odd coefficients, and likewise h = H_e(x^2) + x H_o(x^2).  E
+    and O are packed into one int each, coefficient i in the k-byte slot i,
+    which is their value at x^2 = 2^(8k); so f(+-2^N) = E +- 2^N O with
+    N = 4k (shift).  Two CPython multiplications (Karatsuba) of half the
+    length of one packed list give P+ = h(2^N) = H_e + 2^N H_o and
+    P- = h(-2^N) = H_e - 2^N H_o, at x^2 = 2^(8k): (P+ + P-) / 2 holds the
+    even coefficients of h and (P+ - P-) / 2^(N+1) the odd ones, each in
+    k-byte slots again.  Those are the coefficients of the one-point
+    packing, so the same slot width bounds them: k is wide enough for
+    |h_j| = |sum_i a_i b_(j-i)| < min(len a, len b) * max|a| * max|b| with
+    a sign bit to spare.  A slot is packed and read with half a slot added,
+    so every slot is nonnegative and no borrow crosses into the next one."""
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
@@ -80,16 +89,33 @@ def _kronecker(a, b, n: int) -> list:
     )
     k = (bits + 7) // 8
     half = 1 << (8 * k - 1)
+    shift = 4 * k
 
     def pack(xs) -> int:
         raw = b"".join([(x + half).to_bytes(k, "little") for x in xs])
         return int.from_bytes(raw, "little") - _bias(len(xs), k)
 
-    x = pack(a)
-    y = x if b is a else pack(b)
-    low = (x * y + _bias(n, k)) & ((1 << (8 * k * n)) - 1)
-    raw = low.to_bytes(k * n, "little")
-    return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, k * n, k)]
+    def at_points(xs) -> tuple:
+        """(f(2^N), f(-2^N)) for the list xs."""
+        even = pack(xs[0::2])
+        odd = pack(xs[1::2]) << shift
+        return even + odd, even - odd
+
+    def unpack(v: int, slots: int) -> list:
+        low = (v + _bias(slots, k)) & ((1 << (8 * k * slots)) - 1)
+        raw = low.to_bytes(k * slots, "little")
+        return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, k * slots, k)]
+
+    xp, xm = at_points(a)
+    if b is a:
+        plus, minus = xp * xp, xm * xm
+    else:
+        yp, ym = at_points(b)
+        plus, minus = xp * yp, xm * ym
+    out = [0] * n
+    out[0::2] = unpack((plus + minus) >> 1, (n + 1) // 2)
+    out[1::2] = unpack((plus - minus) >> (shift + 1), n // 2)
+    return out
 
 
 def _stride(nums) -> int:

@@ -18,8 +18,11 @@ from qmodular.expr import (
     DeltaRef,
     EisensteinAtom,
     GeneratorRef,
+    HalfTwist,
     PhiAtom,
     Power,
+    Product,
+    Scalar,
     Sum,
     WpAtom,
     WptAtom,
@@ -76,6 +79,37 @@ def test_equal_parses_are_one_node():
     for src in ["E(2,7,0)^3 + 3/2*E(6,7,3)", "wp(1/2,0,2)*Delta(4) - 7*wpt(0,1/2,5)^2", "E4^2*E6"]:
         assert parse_expr(src) is parse_expr(src)
         assert parse_expr(src) is parse_expr(print_expr(parse_expr(src)))
+
+
+def test_numeric_parses_are_the_nodes_they_were():
+    # a literal stays a Fraction inside the parser; the tree it ends up in
+    # is the one the parser built when every literal was a Scalar node
+    e4 = EisensteinAtom(4)
+    assert parse_expr("(3)") is Scalar(3)
+    assert parse_expr("2^3") is Scalar(8)
+    assert parse_expr("-(2/3)^2*(3)") is Scalar(Fraction(-4, 3))
+    assert parse_expr("-1/2*E4") is Sum([(Fraction(-1, 2), e4)])
+    assert parse_expr("(2)*E4*1/2") is e4
+    assert parse_expr("2 + 3") is Sum([(2, Scalar(1)), (3, Scalar(1))])
+    assert parse_expr("(1 - 1)*E4") is Product([Sum([(1, Scalar(1)), (-1, Scalar(1))]), e4])
+    assert parse_expr("twist(3)") is HalfTwist(Scalar(3))
+    assert parse_expr("twist((1/2)^2*E4)") is HalfTwist(Sum([(Fraction(1, 4), e4)]))
+
+
+def test_coefficient_literals_make_no_scalar_node(monkeypatch):
+    made = []
+    make = expr._node
+
+    def spy(key):
+        made.append(key[0])
+        return make(key)
+
+    monkeypatch.setattr(expr, "_node", spy)
+    skel = basis_skeleton(7, 12)
+    coords = [Fraction((-1) ** s * (s + 1), s % 3 + 2) for s in range(len(skel))]
+    parse_expr(print_expr(Sum(list(zip(coords, skel)))))
+    parse_expr("(2)*E4^2*(3/5)^2 - 7/3*E(8,1,0) + (-1)*Delta(1)^0*E8")
+    assert made and Scalar not in made
 
 
 @pytest.mark.parametrize("n, w", [(1, 24), (5, 8), (7, 12), (10, 6)])

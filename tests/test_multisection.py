@@ -12,7 +12,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle
 from qmodular import qseries
+from qmodular.eta import euler_product
 from qmodular.qseries import QSeries, monomial
 
 KRON = qseries._KRONECKER_MIN
@@ -206,6 +208,19 @@ def test_series_products_match_the_blind_mul(a, b):
     assert_same(a * b, blind_mul(a, b))
     assert_same(b * a, blind_mul(a, b))
     assert_same(a * a, blind_mul(a, a))
+
+
+def test_euler_quotient_matches_the_blind_mul_on_one_point_packing(monkeypatch):
+    # eta(tau)^-8 eta(2 tau)^16 below q^1000 (without the q-power): a dense
+    # 1000-term series times one in q^2, so the product splits into two
+    # 500-slot sections on the two-point packing; the oracle multiplies the
+    # full lists with the one-point packing it replaced
+    a = euler_product(1, 1000).pow(-8)
+    b = euler_product(2, 1000).pow(16)
+    new = a * b
+    monkeypatch.setattr(qseries, "_kronecker", fraction_oracle._kronecker)
+    ref = blind_mul(blind_pow(euler_product(1, 1000), -8), blind_pow(euler_product(2, 1000), 16))
+    assert_same(new, ref)
 
 
 @settings(max_examples=60, deadline=None)

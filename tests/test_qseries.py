@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle
 from qmodular import qseries
 from qmodular.eta import euler_product
 from qmodular.errors import (
@@ -340,6 +341,9 @@ def test_pow_of_zero_so_far():
 KRON = qseries._KRONECKER_MIN
 big_int = st.integers(min_value=-(2**130), max_value=2**130)
 WIDE = 2**64 - 1
+# 600 terms near +-2^130: packed at 34-byte slots, about 20 kB per operand
+NEAR_2_130 = [(-1) ** (i % 3) * (2**130 - 7 * i) for i in range(600)]
+NEAR_2_130_B = [(-1) ** (i // 5) * (2**129 + 3 * i) for i in range(600)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,11 +359,59 @@ WIDE = 2**64 - 1
 @example([-WIDE] * 40, [WIDE] * 40, 79, False)
 @example([(-1) ** i * WIDE for i in range(40)], [WIDE] * 40, 90, True)
 @example([-(2**64)] * 7, [2**64] * 3, 12, False)
+# 60 + 60 + bit_length(255) = 128 bits: only the spare sign bit keeps
+# h_254 = 255 (2^60 - 1)^2 > 2^127 inside its slot
+@example([2**60 - 1] * 255, [2**60 - 1] * 255, 255, True)
 @example([0, 0, 0], [5], 4, False)
+# an even and an odd n, both inside the full product of 7 slots
+@example([3, -1, 4, 1, -5], [9, 2, -6], 6, False)
+@example([3, -1, 4, 1, -5], [9, 2, -6], 7, False)
+# n past len(a) + len(b) - 1: the top slots are zero
+@example([1, -2, 3], [4, 5], 9, False)
+@example([2**130, -1], [-(2**130)], 8, False)
+# length-1 and length-2 operands: an empty odd half
+@example([7], [-3], 1, False)
+@example([7], [2, -3], 3, False)
+@example([-(2**130)], [-(2**130)], 2, True)
+@example([-5, 6], [-5, 6], 4, True)
+# unbalanced widths, 3-bit by 146-bit coefficients, as in delta(10, 1000)
+@example(
+    [(-1) ** i * (i % 8) for i in range(60)],
+    [(-1) ** (i // 3) * (2**146 - 1 - i) for i in range(61)],
+    120,
+    False,
+)
+# long wide operands, and the square of one
+@example(NEAR_2_130, NEAR_2_130_B, 1199, False)
+@example(NEAR_2_130, NEAR_2_130, 1000, True)
 def test_kronecker_matches_schoolbook_on_int_lists(a, b, n, square):
+    """The two-point packing against the schoolbook loop and against the
+    one-point packing it replaced (fraction_oracle._kronecker)."""
     if square:
         b = a
-    assert qseries._kronecker(a, b, n) == poly_mul(a, b, n)
+    want = poly_mul(a, b, n)
+    assert qseries._kronecker(a, b, n) == want
+    assert fraction_oracle._kronecker(a, b, n) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=300),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_kronecker_matches_the_one_point_packing(la, lb, bits_a, bits_b, square, rng):
+    """Longer operands of drawn widths, where schoolbook would be slow: the
+    two-point packing against the one-point one, at n from 1 to past the
+    full product."""
+    a = [rng.choice((-1, 1)) * rng.getrandbits(bits_a) for _ in range(la)]
+    b = a if square else [rng.choice((-1, 1)) * rng.getrandbits(bits_b) for _ in range(lb)]
+    full = len(a) + len(b) - 1
+    for n in {1, 2, len(a), max(full - 1, 1), full, full + 2}:
+        assert qseries._kronecker(a, b, n) == fraction_oracle._kronecker(a, b, n), n
 
 
 def half_grid(f: QSeries):
