@@ -13,8 +13,10 @@ Per level the module knows:
 Also here: expand_expr, the precision-aware evaluator for expression trees
 (it pushes the target precision down through products using valuation lower
 bounds, so sparse high-valuation products cost almost nothing, and keeps
-one bounded cache of the expansions it made), and reduce, the
-forward-substitution that writes a series in basis coordinates.
+one bounded cache of the expansions it made), and reduce, the forward
+substitution that writes a series in basis coordinates.  reduce works on
+the integer numerators of the series and of the basis elements, which it
+expands through that cache without building the labelled BasisSet.
 """
 
 from __future__ import annotations
@@ -648,6 +650,25 @@ class BasisSet:
         }
 
 
+def _expanded_basis(level: int, wt: int, p: int) -> list:
+    """(expression, expansion below q^p) for each element of the skeleton of
+    M_wt(Gamma0(level)), each checked to be unitary of valuation equal to
+    its index on the integer grid.  Every expansion goes through
+    expand_expr, so a space asked for before costs one cache hit per
+    element."""
+    out = []
+    for s, ex in enumerate(basis_skeleton(level, wt)):
+        ser = expand_expr(ex, p)
+        # valuation s below the bound p > s leaves nums nonempty
+        if ser.den != 1 or ser.val != s or ser.nums[0] != ser.d:
+            raise InvalidRegistryEntry(
+                f"basis element {print_expr(ex)} of M_{wt}(Gamma0({level})) "
+                f"expands with valuation {ser.valuation}, leading {ser.leading}"
+            )
+        out.append((ex, ser))
+    return out
+
+
 def basis(level: int, wt: int, prec: int) -> BasisSet:
     """Unitary upper-triangular basis of M_wt(Gamma0(level)), each element
     expanded below exponent prec (prec >= dimension so every pivot shows)."""
@@ -659,17 +680,11 @@ def basis(level: int, wt: int, prec: int) -> BasisSet:
         raise InsufficientPrecision(
             f"precision {p} below the dimension {d} of M_{wt}(Gamma0({level}))"
         )
-    skel = basis_skeleton(level, wt)
-    elements = []
-    for s, ex in enumerate(skel):
-        ser = expand_expr(ex, p)
-        if ser.den != 1 or ser.valuation != s or ser.leading != 1:
-            raise InvalidRegistryEntry(
-                f"basis element {print_expr(ex)} of M_{wt}(Gamma0({level})) "
-                f"expands with valuation {ser.valuation}, leading {ser.leading}"
-            )
-        elements.append(BasisElement(s, print_expr(ex), ex, ser))
-    return BasisSet(level, wt, p, tuple(elements))
+    elements = tuple(
+        BasisElement(s, print_expr(ex), ex, ser)
+        for s, (ex, ser) in enumerate(_expanded_basis(level, wt, p))
+    )
+    return BasisSet(level, wt, p, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +699,14 @@ def reduce(f: QSeries, level: int, wt: int, prec=None):
     The residual must vanish everywhere below min(prec, f.bound); the first
     surviving exponent otherwise lands in the NotInSpan error.  f must carry
     at least dim + 5 known coefficients so that membership is actually
-    tested, not merely interpolated."""
+    tested, not merely interpolated.
+
+    The substitution runs on integer numerators: the truncated residual is
+    one int list xs over one denominator den on its own exponent grid, and
+    element i, with numerators e over d_i and e[0] == d_i, clears the slot
+    of q^i in place by xs <- xs * d_i - xs[slot] * e from that slot on, and
+    den <- den * d_i.  The slots below it are not rescaled: a pivot there is
+    zero already, and any other slot only has to stay nonzero."""
     d = dimension(level, wt)
     if d == 0:
         raise EmptySpace(f"M_{wt}(Gamma0({level})) is zero-dimensional")
@@ -697,14 +719,23 @@ def reduce(f: QSeries, level: int, wt: int, prec=None):
         raise InsufficientPrecision(
             f"comparison depth {depth} below the dimension {d}"
         )
-    b = basis(level, wt, math.ceil(depth))
+    elements = _expanded_basis(level, wt, math.ceil(depth))
     residual = f.truncate(depth)
+    r, v = residual.den, residual.val
+    xs = list(residual.nums)
+    den = residual.d
     coords = []
-    for el in b.elements:
-        c = Fraction(residual.coefficient(el.index))
-        coords.append(c)
-        if c:
-            residual = lincomb(((1, residual), (-c, el.series)))
-    if not residual.is_zero:
-        raise NotInSpan(residual.valuation)
+    # element i covers q^i .. q^(ceil(depth) - 1), the integer slots of the
+    # residual from q^i to its end
+    for i, (_, e) in enumerate(elements):
+        at = i * r - v
+        x = xs[at] if at >= 0 else 0
+        coords.append(Fraction(x, den))
+        if x:
+            tail = slice(at, at + r * len(e.nums), r)
+            xs[tail] = [y * e.d - x * z for y, z in zip(xs[tail], e.nums)]
+            den *= e.d
+    for k, x in enumerate(xs):
+        if x:
+            raise NotInSpan(Fraction(v + k, r))
     return coords

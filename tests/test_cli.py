@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import random
+import shlex
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -525,3 +527,32 @@ def test_exit_code_unwritable_out(tmp_path):
 def test_unknown_subcommand_exits_via_argparse():
     code, out, err = run("frobnicate")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+# ---------------------------------------------------------------------------
+
+
+def readme_cli_examples():
+    """(argv, stdout) for each `$ qmodular ...` example in the README's "CLI
+    usage" block, except `bench`, whose output has a timing line and an
+    abbreviated expansion."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ qmodular ")[1:]:
+        command, _, output = chunk.partition("\n")
+        argv = shlex.split(command)
+        if argv[0] != "bench":
+            examples.append((argv, output.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_cli_examples_match_the_cli():
+    examples = readme_cli_examples()
+    assert [argv[0] for argv, _ in examples] == [
+        "expand", "expand", "basis", "dims", "reduce", "verify"
+    ]
+    for argv, expected in examples:
+        assert run(*argv) == (0, expected, ""), argv

@@ -1,6 +1,7 @@
 """Expression trees, graded dimensions, triangular bases, and reduction
 of a series to basis coordinates."""
 
+import math
 import os
 import random
 import subprocess
@@ -9,14 +10,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmodular.errors import (
     EmptySpace,
     InsufficientPrecision,
     InvalidPrecision,
+    InvalidRegistryEntry,
     NotInSpan,
+    QModularError,
     UnknownGenerator,
     UnknownLevel,
     UnsupportedWeight,
@@ -53,7 +56,7 @@ from qmodular.levels import (
     generator,
     reduce,
 )
-from qmodular.qseries import HALF, monomial
+from qmodular.qseries import HALF, lincomb, monomial, zero_series
 from qmodular.weierstrass import eisenstein, wp_hat, wpt_hat
 
 import expr_oracle as oracle
@@ -595,6 +598,131 @@ def test_reduce_guards():
         reduce(delta(1, 20), 1, 2)
     with pytest.raises(InsufficientPrecision):
         reduce(expand_expr(GeneratorRef(2, 2, 0), 5), 2, 2)
+
+
+def lincomb_reduce(f, level, wt, prec=None):
+    """The oracle: the forward substitution as it was before the integer
+    solve, on the labelled basis with one lincomb per nonzero coordinate.
+    It leaves out reduce's guards on the dimension and the depth."""
+    depth = f.bound if prec is None else min(Fraction(prec), f.bound)
+    b = basis(level, wt, math.ceil(depth))
+    residual = f.truncate(depth)
+    coords = []
+    for el in b.elements:
+        c = Fraction(residual.coefficient(el.index))
+        coords.append(c)
+        if c:
+            residual = lincomb(((1, residual), (-c, el.series)))
+    if not residual.is_zero:
+        raise NotInSpan(residual.valuation)
+    return coords
+
+
+def reduce_outcome(solve, f, level, wt, prec):
+    """The coordinates with their types, or the NotInSpan exponent (with its
+    type) and message."""
+    try:
+        coords = solve(f, level, wt, prec)
+    except NotInSpan as exc:
+        return "not in span", exc.exponent, type(exc.exponent), str(exc)
+    return [(c, type(c)) for c in coords]
+
+
+SPACES = [(n, w) for n in range(1, 11) for w in range(2, 25, 2) if dimension(n, w)]
+
+
+COORDINATES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+PERTURBATION_COEFFICIENTS = st.sampled_from((1, -2, HALF))
+
+
+@st.composite
+def reduce_cases(draw):
+    """(level, weight, coordinates, bound of f, prec argument, perturbation):
+    f is the combination of the basis below the bound, which is off the
+    integer grid half the time, plus, when drawn, a monomial c q^e at an
+    integer or half-integer e from -1 up."""
+    n, w = draw(st.sampled_from(SPACES))
+    d = dimension(n, w)
+    coords = draw(st.lists(COORDINATES, min_size=d, max_size=d))
+    bound = Fraction(2 * d + 10 + draw(st.integers(0, 8)), 2)
+    prec = None
+    if draw(st.booleans()):
+        prec = Fraction(draw(st.integers(6 * d, int(6 * bound))), 6)
+    perturb = None
+    if draw(st.booleans()):
+        e = Fraction(draw(st.integers(-2, int(2 * bound) - 1)), 2)
+        perturb = e, draw(PERTURBATION_COEFFICIENTS)
+    return n, w, coords, bound, prec, perturb
+
+
+def combination(n, w, coords, bound):
+    """sum c_i e_i below the bound; a half-integer bound puts it on the half
+    grid, where its odd slots are zero."""
+    top = math.ceil(bound)
+    f = lincomb(
+        (c, el.series) for c, el in zip(coords, basis(n, w, top).elements)
+    )
+    return f if bound == top else f + zero_series(bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduce_cases())
+# a den-2 residual at an odd bound, its odd slots zero: in span
+@example((2, 4, [Fraction(1), Fraction(-3, 2)], Fraction(15, 2), None, None))
+# a negative valuation
+@example((3, 6, [Fraction(1), 0, Fraction(2)], Fraction(17, 2), None, (Fraction(-1), 1)))
+@example((3, 6, [Fraction(1), 0, Fraction(2)], Fraction(9), None, (Fraction(-1, 2), -2)))
+# the zero series, which is what E4 - E4 expands to
+@example((1, 4, [Fraction(0)], Fraction(6), None, None))
+# fractional prec arguments, one of them cutting off the perturbation
+@example((5, 4, [Fraction(1, 2), 3, -1], Fraction(9), Fraction(13, 2), (Fraction(7), 1)))
+@example((5, 4, [Fraction(1, 2), 3, -1], Fraction(19, 2), Fraction(17, 3), (Fraction(11, 2), HALF)))
+# elements over a denominator d_i > 1 (E(6,7,3) has d_i = 2) and level 10
+@example((7, 12, [Fraction(k, 3) for k in range(9)], Fraction(14), None, None))
+@example((7, 6, [1, 2, 3, Fraction(5, 4), -1], Fraction(11), None, (Fraction(9, 2), 1)))
+@example((10, 4, [Fraction(k - 3, 2) for k in range(7)], Fraction(12), None, (Fraction(11), -2)))
+def test_reduce_matches_the_lincomb_oracle(case):
+    n, w, coords, bound, prec, perturb = case
+    f = combination(n, w, coords, bound)
+    if perturb is not None:
+        e, c = perturb
+        f = f + monomial(c, e.numerator, e.denominator, bound)
+    assert f.bound == bound
+    got = reduce_outcome(reduce, f, n, w, prec)
+    assert got == reduce_outcome(lincomb_reduce, f, n, w, prec)
+    if perturb is None:
+        assert got == [(Fraction(c), Fraction) for c in coords]
+
+
+def double_e220(monkeypatch):
+    """Register E(2,2,0) at twice its value: its valuation stays 0 and its
+    leading coefficient becomes 2."""
+    monkeypatch.setitem(levels._REGISTRY, (2, 2), (Sum([(-6, WpAtom(1, 0, 2))]),))
+
+
+@pytest.mark.parametrize(
+    "edit, spaces, message",
+    [
+        (corrupt_e673, ((7, 6), (7, 8), (7, 12)), r"^basis element E\(6,7,3\) of M_6"),
+        (double_e220, ((2, 2), (2, 4), (2, 10)), r"^basis element E\(2,2,0\) of M_2.*leading 2$"),
+    ],
+)
+def test_reduce_raises_the_registry_error_basis_raises(monkeypatch, edit, spaces, message):
+    # each f is known below q^(d + 6), the bound reduce expands the basis to
+    fs = {
+        (n, w): expand_expr(Sum([(1, ex) for ex in basis_skeleton(n, w)]), dimension(n, w) + 6)
+        for n, w in spaces
+    }
+    edit(monkeypatch)
+    for (n, w), f in fs.items():
+        with pytest.raises(QModularError) as by_basis:
+            basis(n, w, dimension(n, w) + 6)
+        with pytest.raises(QModularError) as by_reduce:
+            reduce(f, n, w)
+        assert type(by_reduce.value) is type(by_basis.value)
+        assert str(by_reduce.value) == str(by_basis.value)
+    with pytest.raises(InvalidRegistryEntry, match=message):
+        reduce(fs[spaces[0]], *spaces[0])
 
 
 # ---------------------------------------------------------------------------
