@@ -5,14 +5,23 @@ prod_m eta(m tau)^(e_m) is a rational-exponent prefactor times an integer-
 grid power series.  Only quotients whose prefactor exponent lands in (1/2)Z
 can be represented here; anything else raises FractionalExponent.
 
-The Euler product prod (1 - q^n) is generated from its pentagonal-number
-expansion (exponents k(3k-1)/2), which keeps quotient expansion cheap; the
-test suite checks it against naive term-by-term binomial products.  Each
-factor's power, negative exponents included, comes from QSeries.pow's power
-recurrence, whose cost scales with the known and nonzero terms of its base.
-The factor of eta(m tau) below q^n is a series in q^m, so the recurrence
-runs on its ceil(n/m) compressed terms, of which O(sqrt(n/m)) are nonzero:
-O((n/m)^(3/2)) in all.
+The Euler product E(q) = prod (1 - q^n) is generated from its pentagonal-
+number expansion (exponents k(3k-1)/2); the test suite checks it against
+naive term-by-term binomial products.  With g the gcd of the exponents, a
+quotient prod_m E(q^m)^(e_m) is the g-th power of the narrow quotient
+prod_m E(q^m)^(e_m / g): its positive factors are powered and multiplied,
+the product is divided by E(q^m) once per unit of each negative e_m / g,
+and QSeries.pow raises the result to the g-th power.  No Euler factor is
+inverted on its own, so the coefficients of every intermediate stay about
+as wide as the output's (below q^1000, E(q)^-8 has coefficients 270 bits
+wider than Delta_2 = E(q)^-8 E(q^2)^16 has).  Below q^n, E(q^m) is a series
+in q^m with O(sqrt(n/m)) nonzero terms, so a division by it costs
+O(n sqrt(n/m)) products, and O((n/m)^(3/2)) when the dividend is a series
+in q^m too; a power of it by Miller's recurrence costs O((n/m)^(3/2)).
+A quotient whose output is itself wide gains nothing from this and can
+lose: many division units, or a dense narrow quotient raised to a high
+power (1/Delta = E(q)^-24 is 1/E(q) to the 24th), cost more than inverting
+the sparse E(q^m) by Miller's recurrence in one pass.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FractionalExponent, UnknownLevel
-from .qseries import QSeries, _as_fraction, one_series, zero_series
+from .qseries import QSeries, _as_fraction, _divide, zero_series
 
 
 def euler_function(prec: int) -> QSeries:
@@ -100,10 +109,21 @@ class EtaQuotient:
         if rel <= 0:
             # the leading term already sits at or beyond the bound
             return zero_series(bound)
-        acc = one_series(rel)
+        # the g-th power of the narrow quotient (module docstring); a quotient
+        # with no factors has g = 0 and expands to 1
+        g = math.gcd(*[e for _, e in self.factors]) or 1
+        narrow = None
         for m, e in self.factors:
-            acc = acc * euler_product(m, rel).pow(e)
-        return acc.shift(s).truncate(bound)
+            if e > 0:
+                f = euler_product(m, rel).pow(e // g)
+                narrow = f if narrow is None else narrow * f
+        nums = [1] + [0] * (rel - 1) if narrow is None else narrow.nums
+        for m, e in self.factors:
+            if e < 0:
+                b = euler_product(m, rel).nums
+                for _ in range(-e // g):
+                    nums = _divide(nums, b)
+        return QSeries._make(1, 0, nums, 1, rel).pow(g).shift(s).truncate(bound)
 
     def __str__(self):
         """The quotient in the expression grammar; "1" when empty."""

@@ -23,8 +23,8 @@ is one in q^m, and an integer-grid series spread onto the half grid has
 every other slot zero.  Such numerators are nonzero only at multiples of
 t (their stride), and no path multiplies the zero slots between them.  A
 product splits the other operand into its t residue sections and
-multiplies each by the compressed list; a power works on the compressed
-list and spreads the result back.
+multiplies each by the compressed list; a power, and a quotient of two
+series in q^t, work on the compressed lists and spread the result back.
 """
 
 from __future__ import annotations
@@ -207,6 +207,32 @@ def _miller(f, n: int):
     return (g, d) if d > 0 else ([-h for h in g], -d)
 
 
+def _divide(a, b) -> list:
+    """The first len(a) coefficients of the quotient h = a / b of the int
+    lists a and b, for b[0] == 1 (b's terms past its end count as zero).
+
+    h_j = a_j - sum_k b_k h_(j-k) over b's nonzero terms with k >= 1, so
+    every h_j is an integer and the cost is one product per term of h and
+    nonzero b_k.  When a and b are both series in q^t, so is h, and the
+    recurrence runs on the compressed lists a[::t] and b[::t]."""
+    n = len(a)
+    b = b[:n]
+    t = math.gcd(_stride(a), _stride(b))
+    if t > 1:
+        out = [0] * n
+        out[::t] = _divide(a[::t], b[::t])
+        return out
+    terms = [(k, c) for k, c in enumerate(b) if k and c]
+    h = []
+    for j, x in enumerate(a):
+        for k, c in terms:
+            if k > j:
+                break
+            x -= c * h[j - k]
+        h.append(x)
+    return h
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -380,12 +406,14 @@ class QSeries:
         runs on the ceil(L/t) numerators f[::t], and the result is spread
         back every t slots.
 
-        pow(f, 0) is 1 carried to that relative precision and raises
-        InvalidPrecision when the window is empty.  A zero-so-far f gives
-        zero so far at n * prec for n > 0 and raises NotInvertible for
-        n < 0."""
+        pow(f, 1) is f itself.  pow(f, 0) is 1 carried to that relative
+        precision and raises InvalidPrecision when the window is empty.  A
+        zero-so-far f gives zero so far at n * prec for n > 0 and raises
+        NotInvertible for n < 0."""
         if not isinstance(n, int):
             raise ValueError("pow exponent must be an integer")
+        if n == 1:
+            return self
         if n == 0:
             return monomial(1, 0, 1, Fraction(self.prec - self.val, self.den))
         f = self.nums

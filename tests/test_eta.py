@@ -1,10 +1,15 @@
-"""Eta quotients against naive binomial-product oracles, plus the Delta_N table."""
+"""Eta quotients against naive binomial-product oracles and the per-factor
+route, plus the Delta_N table."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qmodular import eta, qseries
 from qmodular.errors import FractionalExponent, UnknownLevel
 from qmodular.eta import (
     DELTA_TABLE,
@@ -14,6 +19,7 @@ from qmodular.eta import (
     euler_product,
     level_unit,
 )
+from qmodular.qseries import QSeries, one_series, zero_series
 
 from test_qseries import poly_inv, poly_mul, series_coeff_map
 
@@ -213,3 +219,184 @@ def test_delta2_rescaled_by_five():
         Fraction(10): 8,
         Fraction(15): 28,
     }
+
+
+# ---------------------------------------------------------------------------
+# the narrow-quotient route against the per-factor route
+# ---------------------------------------------------------------------------
+
+
+def per_factor_expand(quotient, prec):
+    """The quotient expanded factor by factor: each E(q^m)^e by pow (so a
+    negative exponent inverts E(q^m) by Miller's recurrence), multiplied
+    into a seed of 1."""
+    s = quotient.lead_exponent
+    bound = Fraction(prec)
+    rel = math.ceil(bound - s)
+    if rel <= 0:
+        return zero_series(bound)
+    acc = one_series(rel)
+    for m, e in quotient.factors:
+        acc = acc * euler_product(m, rel).pow(e)
+    return acc.shift(s).truncate(bound)
+
+
+def fields(f: QSeries):
+    return (f.den, f.val, f.nums, f.d, f.prec)
+
+
+@st.composite
+def quotient_strategy(draw):
+    """Factors with multipliers 1..12 and exponents in -24..24, all a
+    multiple of a drawn common factor c; the exponent of eta(tau) is drawn
+    last, so that the leading exponent lands in (1/2)Z."""
+    c = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 8, 12]))
+    top = 24 // c
+    exps = st.integers(min_value=-top, max_value=top)
+    rest = draw(st.dictionaries(st.integers(min_value=2, max_value=12), exps, max_size=4))
+    step = 12 // math.gcd(c, 12)
+    s = sum(m * e for m, e in rest.items())
+    first = draw(st.sampled_from([x for x in range(-top, top + 1) if (s + x) % step == 0]))
+    return EtaQuotient([(1, c * first)] + [(m, c * e) for m, e in rest.items()])
+
+
+def bound_strategy(quotient):
+    """An integer, half-integer or off-grid bound from just below the
+    leading exponent to about 40 terms above it."""
+    offsets = st.sampled_from([1, 2, 3]).flatmap(
+        lambda q: st.integers(min_value=-2 * q, max_value=40 * q).map(lambda k: Fraction(k, q))
+    )
+    return offsets.map(lambda x: (quotient, quotient.lead_exponent + x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_strategy().flatmap(bound_strategy))
+@example((DELTA_TABLE[1].quotient, 1000))
+@example((DELTA_TABLE[2].quotient, 1000))
+@example((DELTA_TABLE[3].quotient, 1000))
+@example((DELTA_TABLE[4].quotient, 1000))
+@example((DELTA_TABLE[5].quotient, 1000))
+@example((DELTA_TABLE[6].quotient, 1000))
+@example((DELTA_TABLE[7].quotient, 1000))
+@example((DELTA_TABLE[8].quotient, 1000))
+@example((DELTA_TABLE[9].quotient, 1000))
+@example((DELTA_TABLE[10].quotient, 1000))
+@example((EtaQuotient([(1, -24)]), Fraction(7, 3)))
+@example((EtaQuotient([(1, -24)]), -1))
+@example((EtaQuotient([(1, 4), (2, 4)]), Fraction(33, 2)))
+@example((EtaQuotient([(2, -3), (4, 3), (6, -3), (12, 3)]), 40))
+def test_expand_matches_the_per_factor_route(case):
+    quotient, bound = case
+    assert fields(quotient.expand(bound)) == fields(per_factor_expand(quotient, bound))
+
+
+def test_a_quotient_with_no_factors_expands_to_one():
+    quotient = EtaQuotient([(1, 1), (1, -1)])
+    assert quotient.factors == ()
+    for bound in (5, Fraction(5, 2), Fraction(1, 3), 0, -2):
+        f = quotient.expand(bound)
+        assert fields(f) == fields(per_factor_expand(quotient, bound)), bound
+    assert quotient.expand(5).to_text() == "1 + O(q^5)"
+    assert quotient.expand(Fraction(5, 2)) == one_series(3)
+    assert quotient.expand(0).is_zero
+
+
+def test_delta_kernels_stay_near_the_output_width(monkeypatch):
+    """While Delta_N is expanded below q^1000, no operand or result of a
+    series kernel is more than 8 bits wider than Delta_N's coefficients:
+    the route never inverts an Euler factor on its own."""
+    seen = []
+
+    def width(xs):
+        return max((abs(x).bit_length() for x in xs), default=0)
+
+    def spy(module, name, lists):
+        real = getattr(module, name)
+
+        def kernel(*args):
+            out = real(*args)
+            seen.append(max(map(width, lists(args, out))))
+            return out
+
+        monkeypatch.setattr(module, name, kernel)
+
+    spy(qseries, "_product", lambda args, out: (args[0], args[1], out))
+    spy(qseries, "_kronecker", lambda args, out: (args[0], args[1], out))
+    spy(qseries, "_miller", lambda args, out: (args[0], out[0]))
+    spy(qseries, "_divide", lambda args, out: (args[0], args[1], out))
+    spy(eta, "_divide", lambda args, out: (args[0], args[1], out))
+    for n in range(1, 11):
+        seen.clear()
+        f = delta(n, 1000)
+        assert seen, n
+        assert max(seen) <= width(f.nums) + 8, (n, max(seen), width(f.nums))
+
+
+# ---------------------------------------------------------------------------
+# the division kernel against the product with the inverse
+# ---------------------------------------------------------------------------
+
+
+def spread(xs, t, n):
+    """The n-slot list with xs, padded with zeros, at every t-th slot from
+    slot 0."""
+    slots = len(range(0, n, t))
+    out = [0] * n
+    out[::t] = (list(xs) + [0] * slots)[:slots]
+    return out
+
+
+def window(f: QSeries, n):
+    """The n int numerators of an integer-grid series from q^0."""
+    assert (f.den, f.d, f.prec) == (1, 1, n)
+    return [0] * f.val + list(f.nums)
+
+
+ints = st.one_of(st.integers(min_value=-9, max_value=9), st.integers(min_value=-(2**70), max_value=2**70))
+
+
+@st.composite
+def division_strategy(draw):
+    """(a, b) of one length n >= 1, b[0] == 1, each a series in q^t for a
+    drawn t."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    ta, tb = draw(st.sampled_from([1, 2, 3, 4, 6])), draw(st.sampled_from([1, 2, 3, 4, 6]))
+    a = spread(draw(st.lists(ints, max_size=n)), ta, n)
+    b = spread([1] + draw(st.lists(ints, max_size=n)), tb, n)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_strategy())
+@example(([7], [1]))
+@example(([0], [1]))
+@example(([0, 3], [1, -1]))
+@example(([2, 0, 5], [1, 0, 0]))
+@example(([1] + [0] * 11, spread([1, -1, -1, 0, 0, 1, 0, 1], 3, 12)))
+@example((spread([4, -2, 9, 1], 6, 20), spread([1, 1, -3, 2, 5], 4, 20)))
+@example((list(euler_product(10, 300).pow(10).nums), list(euler_product(5, 300).nums)))
+def test_divide_matches_the_inverse_product(case):
+    a, b = case
+    n = len(a)
+    want = QSeries.build(1, 0, a, n) * QSeries.build(1, 0, b, n).pow(-1)
+    assert qseries._divide(a, b) == window(want, n)
+    # b's terms past the window are never read
+    assert qseries._divide(a, b + [5, -7]) == window(want, n)
+
+
+def test_divide_runs_on_compressed_lists(monkeypatch):
+    calls = []
+    real = qseries._divide
+
+    def divide(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(qseries, "_divide", divide)
+    assert qseries._divide([], [1]) == []
+    a = spread([1, 2, 3, 4, 5, 6, 7], 6, 40)
+    b = spread([1, -1, 2, 0, 3, -5, 1, 1, 2, 9], 4, 40)
+    calls.clear()
+    h = qseries._divide(a, b)
+    assert calls == [40, 20] and not any(h[1::2])
+    assert h == window(QSeries.build(1, 0, a, 40) * QSeries.build(1, 0, b, 40).pow(-1), 40)

@@ -548,6 +548,36 @@ def test_kronecker_path_selection(monkeypatch):
             assert calls == [("miller", -(-1000 // m))], (m, e)
 
 
+def test_pow_one_is_the_series_itself(monkeypatch):
+    """pow(1) returns its operand and calls no kernel."""
+    calls = []
+
+    def spy(name):
+        real = getattr(qseries, name)
+
+        def kernel(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(qseries, name, kernel)
+
+    spy("_kronecker")
+    spy("_miller")
+    for f in (
+        euler_product(1, 1000),
+        euler_product(3, 1000),
+        QSeries.build(2, -3, [Fraction(1, 3), 0, 5, Fraction(-7, 2)], 1),
+        zero_series(Fraction(5, 2)),
+    ):
+        assert f.pow(1) is f
+        assert f**1 is f
+    assert calls == []
+    # the spies do see the kernels
+    euler_product(1, 1000).pow(-1)
+    euler_product(1, 1000).pow(2)
+    assert calls == ["_miller", "_kronecker"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(qseries_strategy(), st.integers(min_value=1, max_value=5))
 def test_substitute_round_trip(f, m):
