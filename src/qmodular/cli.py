@@ -4,7 +4,8 @@ Subcommands: basis, dims, expand, reduce, verify, bench, dump-levels.
 Documents go to stdout (or --out); diagnostics and timings go to stderr.
 Exit codes: 0 on success, 1 when a verification fails (an identity
 mismatch, a benchmark mismatch, a reduction that leaves a residual), 2 on
-usage errors (malformed expressions, unknown names, precision too small).
+usage errors (malformed expressions, unknown names, precision too small, a
+reduce expression whose weight is not --weight).
 
 The expression grammar, parsed by recursive descent:
 
@@ -47,9 +48,11 @@ from .errors import (
     UnknownGenerator,
     UnknownLevel,
     UnsupportedWeight,
+    WeightMismatch,
 )
 from .eta import DELTA_TABLE
 from .expr import (
+    SHORT_EISENSTEIN_WEIGHTS,
     DeltaRef,
     EisensteinAtom,
     EtaAtom,
@@ -73,7 +76,7 @@ from .levels import _resolve_ref, basis, dimension, expand_expr, reduce
 # expression parsing
 # ---------------------------------------------------------------------------
 
-_EISENSTEIN_NAMES = {"E4": 4, "E6": 6, "E8": 8, "E10": 10, "E12": 12}
+_EISENSTEIN_NAMES = {f"E{k}": k for k in SHORT_EISENSTEIN_WEIGHTS}
 
 # Nesting cap for '(' and 'twist(': printed registry, anchor and basis
 # expressions nest at most 4 deep, and the recursive descent (and the
@@ -123,36 +126,27 @@ def _tokenize(src: str) -> list:
         pos = j
 
 
-class _Lexer:
-    """A cursor over the tokens of the source, lexed once."""
+class _Parser:
+    """Recursive descent over the tokens of the source, lexed once.  A token
+    is consumed (self.i += 1) only after peek has shown it is not the
+    closing "eof", so the cursor never runs past the end."""
 
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         """(kind, text, position) of the next token without consuming it."""
         return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.lex = _Lexer(src)
-        self.depth = 0
-
     def fail(self, message, pos=None):
-        raise ParseError(message, self.lex.peek()[2] if pos is None else pos)
+        raise ParseError(message, self.peek()[2] if pos is None else pos)
 
     def eat_op(self, ch) -> bool:
-        kind, text, _ = self.lex.peek()
+        kind, text, _ = self.peek()
         if kind == "op" and text == ch:
-            self.lex.next()
+            self.i += 1
             return True
         return False
 
@@ -161,15 +155,15 @@ class _Parser:
             self.fail(f"expected {ch!r}")
 
     def expect_int(self) -> int:
-        kind, text, _ = self.lex.peek()
+        kind, text, _ = self.peek()
         if kind != "int":
             self.fail("expected an integer")
-        self.lex.next()
+        self.i += 1
         return int(text)
 
     def expect_capped_int(self, what: str, cap: int) -> int:
         """An integer at most cap; a larger one fails at its position."""
-        pos = self.lex.peek()[2]
+        pos = self.peek()[2]
         n = self.expect_int()
         if n > cap:
             self.fail(f"{what} {n} exceeds the cap {cap}", pos)
@@ -177,7 +171,7 @@ class _Parser:
 
     def parse(self) -> FormExpr:
         e = self.parse_sum()
-        kind, text, pos = self.lex.peek()
+        kind, text, pos = self.peek()
         if kind != "eof":
             self.fail(f"unexpected {text!r}", pos)
         return _as_node(e)
@@ -242,22 +236,22 @@ class _Parser:
         return Fraction(sign * num)
 
     def parse_torsion_offset(self) -> Fraction:
-        pos = self.lex.peek()[2]
+        pos = self.peek()[2]
         x = self.parse_rational()
         if x.denominator not in (1, 2):
             self.fail(f"offset {x} must have denominator 1 or 2", pos)
         return x
 
     def parse_atom(self) -> FormExpr | Fraction:
-        kind, text, pos = self.lex.peek()
+        kind, text, pos = self.peek()
         if kind == "int":
             return self.parse_rational()
         if kind == "op" and text == "(":
-            self.lex.next()
+            self.i += 1
             return self.parse_nested(pos)
         if kind != "name":
             self.fail(f"expected an expression, found {text!r}" if text else "unexpected end of input")
-        self.lex.next()
+        self.i += 1
         if text in _EISENSTEIN_NAMES:
             return EisensteinAtom(_EISENSTEIN_NAMES[text], 1)
         if text == "twist":
@@ -425,6 +419,12 @@ def _cmd_dims(args):
 def _cmd_reduce(args):
     e = parse_expr(args.expr)
     d = dimension(args.level, args.weight)
+    # the written expression's weight decides, so 0 and E4-E4 are of weight
+    # 0 and 4, not of every weight
+    if weight(e) != args.weight:
+        raise WeightMismatch(
+            f"the expression has weight {weight(e)} but --weight is {args.weight}"
+        )
     prec = args.prec if args.prec is not None else d + 6
     f = expand_expr(e, prec)
     coords = reduce(f, args.level, args.weight)

@@ -70,7 +70,8 @@ class NotInSpan(QModularError):
 
 
 class WeightMismatch(QModularError):
-    """Sum of expressions whose weights differ."""
+    """Sum of expressions whose weights differ, or an expression reduced in
+    a space of another weight."""
 
 
 class UnknownIdentity(QModularError):

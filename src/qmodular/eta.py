@@ -143,24 +143,23 @@ class LevelUnit:
     quotient: EtaQuotient
 
 
-def _unit(level, rho, nu, factors) -> LevelUnit:
+def _unit(level, factors) -> LevelUnit:
+    """Delta_N from its eta quotient, which fixes its weight and valuation."""
     q = EtaQuotient(factors)
-    assert q.weight == rho, (level, q.weight)
-    assert q.lead_exponent == nu, (level, q.lead_exponent)
-    return LevelUnit(level, rho, nu, q)
+    return LevelUnit(level, int(q.weight), int(q.lead_exponent), q)
 
 
 DELTA_TABLE = {
-    1: _unit(1, 12, 1, [(1, 24)]),
-    2: _unit(2, 4, 1, [(1, -8), (2, 16)]),
-    3: _unit(3, 6, 2, [(1, -6), (3, 18)]),
-    4: _unit(4, 2, 1, [(2, -4), (4, 8)]),
-    5: _unit(5, 4, 2, [(1, -2), (5, 10)]),
-    6: _unit(6, 2, 2, [(1, 2), (2, -4), (3, -6), (6, 12)]),
-    7: _unit(7, 6, 4, [(1, -2), (7, 14)]),
-    8: _unit(8, 2, 2, [(4, -4), (8, 8)]),
-    9: _unit(9, 2, 2, [(3, -2), (9, 6)]),
-    10: _unit(10, 4, 6, [(1, 2), (2, -4), (5, -10), (10, 20)]),
+    1: _unit(1, [(1, 24)]),
+    2: _unit(2, [(1, -8), (2, 16)]),
+    3: _unit(3, [(1, -6), (3, 18)]),
+    4: _unit(4, [(2, -4), (4, 8)]),
+    5: _unit(5, [(1, -2), (5, 10)]),
+    6: _unit(6, [(1, 2), (2, -4), (3, -6), (6, 12)]),
+    7: _unit(7, [(1, -2), (7, 14)]),
+    8: _unit(8, [(4, -4), (8, 8)]),
+    9: _unit(9, [(3, -2), (9, 6)]),
+    10: _unit(10, [(1, 2), (2, -4), (5, -10), (10, 20)]),
 }
 
 

@@ -378,6 +378,10 @@ def make_power(base: FormExpr, n: int) -> FormExpr:
 # rendering
 # ---------------------------------------------------------------------------
 
+# Weights k whose E_k(tau) prints as the shorthand Ek; the CLI parser reads
+# the same names.
+SHORT_EISENSTEIN_WEIGHTS = (4, 6, 8, 10, 12)
+
 # precedence levels for printing: sums bind loosest, then products, then
 # powers; atoms (including function-call forms) never need parentheses.
 _LVL_SUM, _LVL_PROD, _LVL_POW, _LVL_ATOM = 0, 1, 2, 3
@@ -433,7 +437,7 @@ def _to_str(e: FormExpr) -> str:
     if isinstance(e, EtaAtom):
         return str(e.quotient)
     if isinstance(e, EisensteinAtom):
-        if e.m == 1 and e.k in (4, 6, 8, 10, 12):
+        if e.m == 1 and e.k in SHORT_EISENSTEIN_WEIGHTS:
             return f"E{e.k}"
         return f"Eis({e.k},{e.m})"
     if isinstance(e, PhiAtom):

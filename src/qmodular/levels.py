@@ -2,11 +2,12 @@
 
 Per level the module knows:
 
-* the dimension of every even-weight space (a stored table through weight
-  16, extended upward by the unit-ladder recursion d(w) = d(w - rho) + nu,
-  where Delta_N has weight rho and valuation nu);
 * a registry of unitary generators E(w, N, s) for the base weights w <= rho,
-  each given as an expression tree over torsion-value atoms;
+  where Delta_N has weight rho and valuation nu, each given as an expression
+  tree over torsion-value atoms (at level 1, over E4, E6 and Delta_1);
+* the dimension of every even-weight space: the length of the registry row
+  at the base weight w - s*rho <= rho, plus s*nu, by the unit ladder
+  M_w = span(heads) + Delta_N * M_(w - rho) with nu heads per rung;
 * how to assemble a unitary upper-triangular basis of any even-weight space
   by multiplying powers of Delta_N into the low-weight generators.
 
@@ -100,24 +101,8 @@ __all__ = [
 # dimensions
 # ---------------------------------------------------------------------------
 
-# dim M_{2k}(Gamma0(N)) for 2k = 2, 4, ..., 16; everything above follows
-# from d(w) = d(w - rho) + nu.
-_DIM_ROWS = {
-    1: (0, 1, 1, 1, 1, 2, 1, 2),
-    2: (1, 2, 2, 3, 3, 4, 4, 5),
-    3: (1, 2, 3, 3, 4, 5, 5, 6),
-    4: (2, 3, 4, 5, 6, 7, 8, 9),
-    5: (1, 3, 3, 5, 5, 7, 7, 9),
-    6: (3, 5, 7, 9, 11, 13, 15, 17),
-    7: (1, 3, 5, 5, 7, 9, 9, 11),
-    8: (3, 5, 7, 9, 11, 13, 15, 17),
-    9: (3, 5, 7, 9, 11, 13, 15, 17),
-    10: (3, 7, 9, 13, 15, 19, 21, 25),
-}
-
-
 def _check_level(level: int) -> None:
-    if level not in _DIM_ROWS:
+    if level not in DELTA_TABLE:
         raise UnknownLevel(f"level must be in 1..10, got {level}")
 
 
@@ -127,21 +112,31 @@ def _check_weight(wt: int) -> None:
 
 
 def dimension(level: int, wt: int) -> int:
-    """dim M_wt(Gamma0(level)) for even wt >= 2."""
+    """dim M_wt(Gamma0(level)) for even wt >= 2: s rungs of the unit ladder
+    take wt down to a base weight wt - s*rho <= rho, and each rung adds nu
+    to the length of the registry row there (an absent row is empty)."""
     _check_level(level)
     _check_weight(wt)
-    if wt <= 16:
-        return _DIM_ROWS[level][(wt - 2) // 2]
-    unit = level_unit(level)
-    steps = -((16 - wt) // unit.rho)  # ceil((wt-16)/rho)
-    base = wt - steps * unit.rho
-    assert 2 <= base <= 16 and base % 2 == 0
-    return _DIM_ROWS[level][(base - 2) // 2] + steps * unit.nu
+    unit = DELTA_TABLE[level]
+    s = (wt - 1) // unit.rho
+    return len(_REGISTRY.get((level, wt - s * unit.rho), ())) + s * unit.nu
 
 
 # ---------------------------------------------------------------------------
-# generator registry (base weights w <= rho, levels 2..10)
+# generator registry (base weights w <= rho)
 # ---------------------------------------------------------------------------
+
+
+def _eisenstein_head(wt: int) -> FormExpr:
+    """The level-1 unitary element of valuation 0 and even weight >= 4:
+    a monomial in E4 and E6 picked by the parity of wt/2."""
+    j = wt // 2
+    assert j >= 2
+    if j % 2 == 0:
+        return make_power(EisensteinAtom(4, 1), j // 2)
+    if j == 3:
+        return EisensteinAtom(6, 1)
+    return Product((make_power(EisensteinAtom(4, 1), (j - 3) // 2), EisensteinAtom(6, 1)))
 
 
 def _sym(x: FormExpr, y: FormExpr, scale=1) -> Sum:
@@ -153,6 +148,11 @@ def _sym(x: FormExpr, y: FormExpr, scale=1) -> Sum:
 
 def _build_registry():
     reg = {}
+
+    # N = 1 (weight 2 is empty)
+    for w in range(4, 13, 2):
+        reg[(1, w)] = (_eisenstein_head(w),)
+    reg[(1, 12)] += (DeltaRef(1),)
 
     # N = 2
     e220 = Sum([(-3, WpAtom(1, 0, 2))])
@@ -284,33 +284,14 @@ def _build_registry():
 
 _REGISTRY = _build_registry()
 
-# each base row must match the dimension table
-for (_n, _w), _row in _REGISTRY.items():
-    assert len(_row) == dimension(_n, _w), (_n, _w)
-
-
-def _eisenstein_head(wt: int) -> FormExpr:
-    """The level-1 unitary element of valuation 0 and even weight >= 4:
-    a monomial in E4 and E6 picked by the parity of wt/2."""
-    j = wt // 2
-    assert j >= 2
-    if j % 2 == 0:
-        return make_power(EisensteinAtom(4, 1), j // 2)
-    if j == 3:
-        return EisensteinAtom(6, 1)
-    return Product((make_power(EisensteinAtom(4, 1), (j - 3) // 2), EisensteinAtom(6, 1)))
-
 
 def _resolve_ref(level: int, wt: int, index: int) -> FormExpr:
     """Defining expression of the registered generator E(wt, level, index)."""
     _check_level(level)
     _check_weight(wt)
-    if level == 1:
-        if index == 0 and wt >= 4:
-            return _eisenstein_head(wt)
-        if (wt, index) == (12, 1):
-            return DeltaRef(1)
-        raise UnknownGenerator(f"no generator E({wt},1,{index})")
+    if level == 1 and index == 0 and wt > 12:
+        # the head of every level-1 weight above the registry rows
+        return _eisenstein_head(wt)
     row = _REGISTRY.get((level, wt))
     if row is None or not 0 <= index < len(row):
         raise UnknownGenerator(f"no generator E({wt},{level},{index})")
@@ -561,30 +542,12 @@ def _row_element(level: int, wt: int, index: int) -> FormExpr:
     return GeneratorRef(level, wt, index) if isinstance(ex, Sum) else ex
 
 
-def _skeleton_level_one(wt: int):
-    k = wt // 2
-    q, r = divmod(k, 6)
-    if r == 0:
-        q, r = q - 1, 6
-    top = q - 1 if r == 1 else q
-    out = []
-    for n in range(top + 1):
-        out.append(_with_delta(1, n, _eisenstein_head(wt - 12 * n)))
-    if r == 6:
-        out.append(make_power(DeltaRef(1), q + 1))
-    return out
-
-
 def basis_skeleton(level: int, wt: int):
     """The expressions of the unitary upper-triangular basis, ordered by
     claimed valuation 0, 1, ..., dim-1 (no expansion happens here)."""
     d = dimension(level, wt)
     if d == 0:
         raise EmptySpace(f"M_{wt}(Gamma0({level})) is zero-dimensional")
-    if level == 1:
-        out = _skeleton_level_one(wt)
-        assert len(out) == d
-        return out
     unit = level_unit(level)
     rho, nu = unit.rho, unit.nu
     out = []
@@ -592,7 +555,8 @@ def basis_skeleton(level: int, wt: int):
     ww = wt
     g = GeneratorRef(level, 2, 0)
     while ww > rho:
-        heads = [make_power(g, ww // 2)]
+        # level 1 has no weight-2 generator g, and nu = 1
+        heads = [_eisenstein_head(ww) if level == 1 else make_power(g, ww // 2)]
         for s in range(1, nu):
             heads.append(
                 make_product(

@@ -391,6 +391,28 @@ def test_exit_code_weight_mismatch():
     assert err == "error: sum mixes weights 2 and 4\n"
 
 
+@pytest.mark.parametrize(
+    "expr, level, wt, expr_weight",
+    [
+        ("E4", "1", "16", "4"),
+        # one line at once, not the weight-600 basis of level 10
+        ("E4", "10", "600", "4"),
+        # the written weight decides, also for an expression that is zero
+        ("E4-E4", "1", "16", "4"),
+        ("0", "2", "4", "0"),
+    ],
+)
+def test_exit_code_reduce_weight_mismatch(expr, level, wt, expr_weight):
+    code, out, err = run("reduce", "--expr", expr, "--level", level, "--weight", wt)
+    assert (code, out) == (2, "")
+    assert err == f"error: the expression has weight {expr_weight} but --weight is {wt}\n"
+
+
+def test_reduce_at_the_expression_weight():
+    assert run("reduce", "--expr", "E4-E4", "--level", "1", "--weight", "4") == (0, "0\n", "")
+    assert run("reduce", "--expr", "E4", "--level", "1", "--weight", "4") == (0, "1\n", "")
+
+
 def test_exit_code_parse_error():
     code, _, err = run("expand", "--expr", "wp(1,0", "--prec", "4")
     assert code == 2

@@ -171,6 +171,7 @@ def test_level_table_contents():
     for n, (rho, nu, factors) in EXPECTED_TABLE.items():
         u = level_unit(n)
         assert (u.rho, u.nu, u.quotient.factors) == (rho, nu, factors), n
+        assert type(u.rho) is int and type(u.nu) is int, n
         assert u.quotient.weight == rho
         assert u.quotient.lead_exponent == nu
 

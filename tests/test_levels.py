@@ -64,6 +64,7 @@ from test_qseries import series_coeff_map
 
 # which (level, weight) pairs carry registered generator rows
 REGISTRY_ROWS = {
+    1: (4, 6, 8, 10, 12),
     2: (2, 4),
     3: (2, 4, 6),
     4: (2,),
@@ -205,6 +206,16 @@ def test_dimension_recursion():
             assert dimension(n, w) == dimension(n, w - u.rho) + u.nu, (n, w)
 
 
+def test_dimension_at_base_weights_is_the_registry_row_length():
+    # rows sit at base weights only, and an absent one is empty
+    assert set(levels._REGISTRY) == {
+        (n, w) for n, weights in REGISTRY_ROWS.items() for w in weights
+    }
+    for n in range(1, 11):
+        for w in range(2, level_unit(n).rho + 1, 2):
+            assert dimension(n, w) == len(levels._REGISTRY.get((n, w), ())), (n, w)
+
+
 def test_dimension_errors():
     with pytest.raises(UnknownLevel):
         dimension(11, 4)
@@ -237,6 +248,31 @@ def test_level_one_generators():
         assert ser.valuation == 0 and ser.leading == 1
     _, dser = generator(1, 12, 1, 8)
     assert [dser.coefficient(i) for i in range(8)] == [0, 1, -24, 252, -1472, 4830, -6048, -16744]
+
+
+E4, E6 = EisensteinAtom(4, 1), EisensteinAtom(6, 1)
+
+
+def test_level_one_generators_resolve_to_eisenstein_monomials():
+    expected = {
+        (4, 0): E4,
+        (6, 0): E6,
+        (8, 0): Power(E4, 2),
+        (10, 0): Product((E4, E6)),
+        (12, 0): Power(E4, 3),
+        (12, 1): DeltaRef(1),
+        (14, 0): Product((Power(E4, 2), E6)),
+        (400, 0): Power(E4, 100),
+    }
+    for (w, s), node in expected.items():
+        assert levels._resolve_ref(1, w, s) == node, (w, s)
+
+
+@pytest.mark.parametrize("w, s", [(2, 0), (12, 2), (14, 1)])
+def test_level_one_unregistered_generators(w, s):
+    with pytest.raises(UnknownGenerator) as exc:
+        levels._resolve_ref(1, w, s)
+    assert str(exc.value) == f"no generator E({w},1,{s})"
 
 
 def test_generator_frozen_spots():
@@ -359,6 +395,28 @@ def test_skeleton_matches_dimension_and_valuations():
             assert len(exprs) == d
             assert [val_lower(e) for e in exprs] == list(range(d)), (n, w)
             assert all(weight(e) == w for e in exprs)
+
+
+def _skeleton_level_one(wt: int):
+    """The level-1 skeleton in closed form: with wt/2 = 6q + r, 1 <= r <= 6,
+    the heads of weights wt, wt - 12, ... times rising powers of Delta_1,
+    down to weight 4 (none at weight 2), and Delta_1^(q+1) when r = 6."""
+    k = wt // 2
+    q, r = divmod(k, 6)
+    if r == 0:
+        q, r = q - 1, 6
+    top = q - 1 if r == 1 else q
+    out = []
+    for n in range(top + 1):
+        out.append(levels._with_delta(1, n, levels._eisenstein_head(wt - 12 * n)))
+    if r == 6:
+        out.append(make_power(DeltaRef(1), q + 1))
+    return out
+
+
+def test_level_one_skeleton_matches_the_closed_form():
+    for w in range(4, 401, 2):
+        assert basis_skeleton(1, w) == _skeleton_level_one(w), w
 
 
 def test_basis_errors():
