@@ -235,11 +235,12 @@ class _Parser:
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
-    def parse_torsion_offset(self) -> Fraction:
+    def parse_torsion_argument(self, role: str) -> Fraction:
+        """A torsion offset or phase: a rational with denominator 1 or 2."""
         pos = self.peek()[2]
         x = self.parse_rational()
         if x.denominator not in (1, 2):
-            self.fail(f"offset {x} must have denominator 1 or 2", pos)
+            self.fail(f"{role} {x} must have denominator 1 or 2", pos)
         return x
 
     def parse_atom(self) -> FormExpr | Fraction:
@@ -287,9 +288,9 @@ class _Parser:
             return EtaAtom(((m, 1),))
         if text in ("wp", "wpt"):
             self.expect_op("(")
-            a = self.parse_torsion_offset()
+            a = self.parse_torsion_argument("offset")
             self.expect_op(",")
-            b = self.parse_torsion_offset()
+            b = self.parse_torsion_argument("phase")
             self.expect_op(",")
             m = self.expect_int()
             self.expect_op(")")

@@ -633,43 +633,52 @@ def _check_phase(b) -> Fraction:
     return b
 
 
-def _add_s(arr, step: int, alternating: bool, w: int = 1) -> None:
-    """Add w * S(c, b) into arr, whose slot k holds the coefficient of
-    q^(k/den); terms at or beyond the end of arr are dropped.
+def _add_progression(arr, first: int, stride: int, alternating: bool, w: int = 1) -> None:
+    """Add w * sum_{i>=0} S(first + i stride, b) into arr, whose slot k holds
+    the coefficient of q^(k/den); terms at or beyond the end of arr are
+    dropped.
 
     S(c, b) is the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
-    factor: -4 sum_{d>=1} d eps^d q^(|c| d) with eps = e^(2 pi i b) for
-    c != 0 (S is even in c), the constant 1 at c = 0, b = 1/2, and a pole at
-    c = b = 0.  The caller passes the grid step |c| * den, an int, and
-    alternating = (b == 1/2)."""
-    if step == 0:
+    factor: -4 sum_{d>=1} d eps^d q^(c d) with eps = e^(2 pi i b) for c > 0,
+    the constant 1 at c = 0, b = 1/2, and a pole at c = b = 0.  The caller
+    passes first and stride as grid steps (ints, first >= 0, stride >= 1)
+    and alternating = (b == 1/2), so eps^d = (-1)^d.
+
+    The double sum over (c, d) with c d below n = len(arr) is split at
+    C = max(first, isqrt(n stride)), as in Dirichlet's hyperbola method:
+    each c < C adds one ramp d -> -4 w d eps^d over the slots c d, and each
+    d with c_C d < n, c_C the first c >= C, adds the constant -4 w d eps^d
+    over the slots c d for c >= c_C, which step by stride d.  Every (c, d)
+    lands once, on the c side when c < C and on the d side otherwise, and
+    either side takes about sqrt(n / stride) slice passes."""
+    n = len(arr)
+    if first == 0:
         if not alternating:
             raise PoleAtArgument("1/sin^2 at the lattice origin")
-        if arr:
+        if n:
             arr[0] += w
-        return
+        first = stride
     t = -4 * w
-    if step >= len(arr):
-        return
-    if not alternating:
-        _ramp(arr, slice(step, None, step), t, t)
-        return
-    # eps^d = -1 at odd d
-    _ramp(arr, slice(step, None, 2 * step), -t, -2 * t)
-    if 2 * step < len(arr):
-        _ramp(arr, slice(2 * step, None, 2 * step), 2 * t, 2 * t)
-
-
-def _ramp(arr, at: slice, first: int, step: int) -> None:
-    """Add first, first + step, first + 2 step, ... to the slots of arr at
-    `at`."""
-    seg = arr[at]
-    arr[at] = list(map(operator.add, seg, range(first, first + step * len(seg), step)))
+    c = first
+    split = max(first, math.isqrt(n * stride))
+    while c < split and c < n:
+        # (first slot, slot step, first value, value step); eps^d = -1 at odd d
+        ramps = ((c, 2 * c, -t, -2 * t), (2 * c, 2 * c, 2 * t, 2 * t)) if alternating else ((c, c, t, t),)
+        for at, step, v, dv in ramps:
+            seg = arr[at::step]
+            arr[at::step] = list(map(operator.add, seg, range(v, v + dv * len(seg), dv)))
+        c += stride
+    d = 1
+    while c * d < n:
+        v = -t * d if alternating and d % 2 else t * d
+        at = slice(c * d, None, stride * d)
+        arr[at] = list(map(v.__add__, arr[at]))
+        d += 1
 
 
 def inv_sin2(c, b, prec) -> QSeries:
     """S(c, b), the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
-    factor (see _add_s), below exponent prec.
+    factor (see _add_progression), below exponent prec.
 
     c is a rational with denominator dividing 2; b is 0 or 1/2."""
     c = _as_fraction(c)
@@ -681,7 +690,8 @@ def inv_sin2(c, b, prec) -> QSeries:
     if pn < 0:
         raise InvalidPrecision(f"negative bound {prec}")
     arr = [0] * pn
-    _add_s(arr, abs(c.numerator), b != 0)
+    # a stride beyond pn leaves only the first term below the bound
+    _add_progression(arr, abs(c.numerator), pn + 1, b != 0)
     return QSeries._make(den, 0, arr, 1, pn)
 
 

@@ -9,9 +9,10 @@ Two families, both weight-2 objects on the m-fold cover:
       -1/3 + S(a, b) + sum_{n>=1} [ S(n m + a, b) + S(n m - a, b) - 2 S(n m, 0) ]
 
   where S(c, b) is the Lambert expansion of 1/sin^2(pi(c tau + b)) that
-  qseries._add_s accumulates (S(0, 1/2) = 1, S at the origin is a pole, and
-  S is even in c).  Domain: m >= 1, 0 <= a < m with 2a integral,
-  b in {0, 1/2}, and (a, b) != (0, 0).
+  qseries._add_progression sums over an arithmetic progression of c
+  (S(0, 1/2) = 1, S at the origin is a pole, and S is even in c).
+  Domain: m >= 1, 0 <= a < m with 2a integral, b in {0, 1/2}, and
+  (a, b) != (0, 0).
 
 * wpt_hat(a, b, m): the half-period-shifted companion
 
@@ -33,7 +34,7 @@ from .errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
 from .qseries import (
     HALF,
     QSeries,
-    _add_s,
+    _add_progression,
     _as_fraction,
     _check_phase,
     bernoulli,
@@ -67,13 +68,9 @@ def wp_hat(a, b, m: int, prec) -> QSeries:
     arr = [0] * pn
     # offsets and the cover index as steps on the exponent grid
     sa, sm = int(a * den), m * den
-    _add_s(arr, sa, alternating, 3)
-    c = sm
-    while c - sa < pn:
-        _add_s(arr, c + sa, alternating, 3)
-        _add_s(arr, c - sa, alternating, 3)
-        _add_s(arr, c, False, -6)
-        c += sm
+    _add_progression(arr, sa, sm, alternating, 3)  # S(a + n m, b), n >= 0
+    _add_progression(arr, sm - sa, sm, alternating, 3)  # S(n m - a, b), n >= 1
+    _add_progression(arr, sm, sm, False, -6)  # S(n m, 0), n >= 1
     if arr:
         arr[0] -= 1
     return QSeries._make(den, 0, arr, 3, pn)
@@ -86,7 +83,7 @@ def wpt_hat(a, b, m: int, prec) -> QSeries:
     if m < 1:
         raise ValueError(f"cover index must be >= 1, got {m}")
     if not (-Fraction(m, 2) <= a <= Fraction(m, 2)):
-        raise ValueError(f"offset {a} outside [-{m}/2, {m}/2]")
+        raise ValueError(f"offset {a} outside [{-Fraction(m, 2)}, {Fraction(m, 2)}]")
     _torsion_den(a)
     if abs(a) == Fraction(m, 2) and b == HALF:
         raise PoleAtArgument(f"wpt_hat pole at offset {a} with phase 1/2")
@@ -94,18 +91,13 @@ def wpt_hat(a, b, m: int, prec) -> QSeries:
     pn = max(0, math.ceil(_as_fraction(prec) * den))
     arr = [0] * pn
     # exponents in halves: base = (n + 1/2) m is h/2 with h = (2n + 1) m,
-    # and the main term's c = base + a is (h + 2a)/2; on the grid each
-    # half counts den/2 steps
-    a2 = int(2 * a)
-    for h in (m, -m):
-        while True:
-            main = abs(h + a2) * den // 2
-            base = abs(h) * den // 2
-            if main >= pn and base >= pn:
-                break
-            _add_s(arr, main, b == 0)  # phase b + 1/2; main = 0 only for b = 0
-            _add_s(arr, base, True, -1)
-            h += 2 * m if h > 0 else -2 * m
+    # and the main term's c = base + a is (h + 2a)/2, so |c| runs over
+    # (m + 2a)/2 + k m and (m - 2a)/2 + k m for k >= 0, and base over
+    # m/2 + k m twice; on the grid each half counts den/2 steps
+    a2, sm = int(2 * a), m * den
+    for main in ((m + a2) * den // 2, (m - a2) * den // 2):
+        _add_progression(arr, main, sm, b == 0)  # phase b + 1/2; main = 0 only for b = 0
+    _add_progression(arr, sm // 2, sm, True, -2)
     return QSeries._make(den, 0, arr, 1, pn)
 
 

@@ -428,6 +428,19 @@ def test_exit_code_domain_errors():
 
 
 @pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("wpt(5,0,2)", "offset 5 outside [-1, 1]"),
+        ("wpt(-2,0,3)", "offset -2 outside [-3/2, 3/2]"),
+        ("wp(1/3,0,2)", "offset 1/3 must have denominator 1 or 2 (at position 3)"),
+        ("wp(1/2,1/3,2)", "phase 1/3 must have denominator 1 or 2 (at position 7)"),
+    ],
+)
+def test_torsion_domain_errors_name_the_argument(expr, message):
+    assert run("expand", "--expr", expr, "--prec", "4") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "name, message",
     [
         ("E(2,7,9)", "no generator E(2,7,9)"),

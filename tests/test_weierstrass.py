@@ -4,11 +4,12 @@ Eisenstein series, and the two presentations of Phi_N."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import torsion_oracle as oracle
 from qmodular.errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
-from qmodular.qseries import HALF, QSeries, _as_fraction, monomial, one_series
+from qmodular.qseries import HALF, QSeries, _as_fraction, inv_sin2, monomial, one_series
 from qmodular.weierstrass import (
     eisenstein,
     phi_level,
@@ -17,6 +18,7 @@ from qmodular.weierstrass import (
     wpt_valuation,
 )
 
+from test_integer_numerators import WP, WPT
 from test_qseries import series_coeff_map
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,86 @@ def test_wpt_even_in_a_up_to_nothing():
 def test_wpt_edge_offset_with_zero_phase_is_constant_one_leading():
     f = wpt_hat(1, 0, 2, 8)
     assert f.coefficient(0) == 1
+
+
+# ---------------------------------------------------------------------------
+# the progression kernel against the per-multiple kernels
+# ---------------------------------------------------------------------------
+
+KERNELS = {"wp_hat": wp_hat, "wpt_hat": wpt_hat, "inv_sin2": inv_sin2}
+TORSION_CASES = (
+    [("wp_hat", t) for t in WP]
+    + [("wpt_hat", t) for t in WPT]
+    + [("inv_sin2", (Fraction(c2, 2), b)) for c2 in range(-20, 21) for b in (0, HALF) if (c2, b) != (0, 0)]
+)
+# the 45 distinct torsion values (a, b, m) that registry-400
+# (identities.check_all(400)) expands, each at q^400
+REGISTRY_400_TORSION = [
+    ("wp_hat", (Fraction(a), b, m))
+    for a, b, m in [
+        ("0", HALF, 1), ("1/2", 0, 1), ("1/2", HALF, 1), ("1", 0, 2), ("1", HALF, 2),
+        ("1", 0, 3), ("1", 0, 4), ("2", 0, 4), ("0", HALF, 5), ("1", 0, 5), ("2", 0, 5),
+        ("5/2", 0, 5), ("3", 0, 5), ("4", 0, 5), ("1", 0, 6), ("2", 0, 6), ("3", 0, 6),
+        ("4", 0, 6), ("5", 0, 6), ("0", HALF, 7), ("1", 0, 7), ("2", 0, 7), ("3", 0, 7),
+        ("7/2", 0, 7), ("1", 0, 8), ("2", 0, 8), ("3", 0, 8), ("4", 0, 8), ("1", 0, 9),
+        ("2", 0, 9), ("3", 0, 9), ("4", 0, 9), ("1", 0, 10), ("2", 0, 10), ("3", 0, 10),
+        ("4", 0, 10), ("5", 0, 10),
+    ]
+] + [
+    ("wpt_hat", (Fraction(a), b, m))
+    for a, b, m in [
+        ("0", HALF, 1), ("1/2", 0, 1), ("0", HALF, 2), ("1", 0, 2), ("0", HALF, 3),
+        ("1/2", HALF, 3), ("3/2", 0, 3), ("0", HALF, 4),
+    ]
+]
+
+
+def test_the_torsion_cases_cover_registry_400():
+    assert len(set(REGISTRY_400_TORSION)) == 45
+    assert set(REGISTRY_400_TORSION) <= set(TORSION_CASES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(TORSION_CASES),
+    st.one_of(st.integers(0, 2000), st.fractions(0, 2000, max_denominator=6)),
+)
+# n * stride a perfect square (100 * 1, 16 * 4, 2000 * 5), and one off
+@example(("wp_hat", (Fraction(0), HALF, 1)), 100)
+@example(("wp_hat", (Fraction(0), HALF, 1)), 99)
+@example(("wp_hat", (Fraction(0), HALF, 1)), 101)
+@example(("wpt_hat", (Fraction(0), HALF, 4)), 16)
+@example(("wpt_hat", (Fraction(0), HALF, 4)), 15)
+@example(("wp_hat", (Fraction(1), 0, 5)), 2000)
+@example(("wp_hat", (Fraction(1), 0, 5)), 1999)
+# first >= n, and first == C < n (S(n m, 0) with m = 10 below q^12)
+@example(("wp_hat", (Fraction(3), 0, 10)), 2)
+@example(("wpt_hat", (Fraction(0), 0, 10)), 3)
+@example(("wp_hat", (Fraction(1), 0, 10)), 12)
+# pn in {0, 1, 2}
+@example(("wp_hat", (Fraction(0), HALF, 1)), 0)
+@example(("wp_hat", (Fraction(0), HALF, 1)), 1)
+@example(("wp_hat", (Fraction(0), HALF, 1)), 2)
+@example(("wpt_hat", (HALF, 0, 1)), 0)
+@example(("wpt_hat", (HALF, 0, 1)), HALF)
+@example(("wpt_hat", (HALF, 0, 1)), 1)
+@example(("inv_sin2", (Fraction(0), HALF)), 0)
+@example(("inv_sin2", (Fraction(0), HALF)), 1)
+@example(("inv_sin2", (HALF, HALF)), 1)
+# |a| = m/2 with b = 0 (a main term at 0), and a = 0 with b = 1/2
+@example(("wpt_hat", (Fraction(3, 2), 0, 3)), 400)
+@example(("wpt_hat", (Fraction(-1), 0, 2)), 50)
+@example(("wp_hat", (Fraction(0), HALF, 7)), 400)
+@example(("inv_sin2", (Fraction(0), HALF)), 10)
+def test_progressions_match_the_per_multiple_kernels(case, bound):
+    name, args = case
+    assert KERNELS[name](*args, bound) == getattr(oracle, name)(*args, bound)
+
+
+for _case in REGISTRY_400_TORSION:
+    test_progressions_match_the_per_multiple_kernels = example(_case, 400)(
+        test_progressions_match_the_per_multiple_kernels
+    )
 
 
 # ---------------------------------------------------------------------------
