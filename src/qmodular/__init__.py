@@ -3,17 +3,8 @@
 from .qseries import QSeries, monomial, zero_series, one_series, sigma_series, inv_sin2
 from .eta import EtaQuotient, delta, level_unit
 from .weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
-from .levels import (
-    basis,
-    basis_skeleton,
-    dimension,
-    expand_expr,
-    generator,
-    print_expr,
-    reduce,
-    val_lower,
-    weight,
-)
+from .expr import print_expr, val_lower, weight
+from .levels import basis, basis_skeleton, dimension, expand_expr, generator, reduce
 from .identities import check, check_all
 
 __all__ = [

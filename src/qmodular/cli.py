@@ -45,9 +45,6 @@ from .errors import (
     NotInSpan,
     ParseError,
     QModularError,
-    UnknownGenerator,
-    UnknownLevel,
-    UnsupportedWeight,
     WeightMismatch,
 )
 from .eta import DELTA_TABLE
@@ -63,9 +60,9 @@ from .expr import (
     Power,
     Product,
     Scalar,
-    Sum,
     WpAtom,
     WptAtom,
+    make_sum,
     print_expr,
     val_lower,
     weight,
@@ -187,16 +184,9 @@ class _Parser:
                 terms.append(self.parse_term(-1))
             else:
                 break
-        if len(terms) == 1:
-            c, core = terms[0]
-            if core is None:
-                return c
-            if c == 1:
-                return core
-            return Sum([(c, core)])
-        s = Sum([(c, Scalar(1) if core is None else core) for c, core in terms])
-        weight(s)  # raises WeightMismatch on mixed weights
-        return s
+        if len(terms) == 1 and terms[0][1] is None:
+            return terms[0][0]
+        return make_sum((c, Scalar(1) if core is None else core) for c, core in terms)
 
     def parse_term(self, sign: int):
         """(coefficient, core) of one term; the core is None when every
@@ -259,16 +249,12 @@ class _Parser:
             self.expect_op("(")
             return HalfTwist(_as_node(self.parse_nested(pos)))
         if text == "Delta":
-            (n,) = self.parse_args(1)
-            return DeltaRef(n)
+            return self.build(pos, DeltaRef, *self.parse_args(1))
         if text == "E":
             w, n, s = self.parse_args(3)
             # resolved here, so a name with no registered generator fails
             # at every bound, not only at bounds past its index
-            try:
-                _resolve_ref(n, w, s)
-            except (UnknownGenerator, UnknownLevel, UnsupportedWeight) as exc:
-                self.fail(str(exc), pos)
+            self.build(pos, _resolve_ref, n, w, s)
             return GeneratorRef(n, w, s)
         if text == "Eis":
             self.expect_op("(")
@@ -276,16 +262,14 @@ class _Parser:
             self.expect_op(",")
             m = self.expect_int()
             self.expect_op(")")
-            return EisensteinAtom(k, m)
+            return self.build(pos, EisensteinAtom, k, m)
         if text == "Phi":
-            (n,) = self.parse_args(1)
-            return PhiAtom(n)
+            return self.build(pos, PhiAtom, *self.parse_args(1))
         if text == "PhiDiv":
-            (n,) = self.parse_args(1)
-            return PhiAtom(n, "divisor")
+            return self.build(pos, PhiAtom, *self.parse_args(1), "divisor")
         if text == "eta":
             (m,) = self.parse_args(1)
-            return EtaAtom(((m, 1),))
+            return self.build(pos, EtaAtom, ((m, 1),))
         if text in ("wp", "wpt"):
             self.expect_op("(")
             a = self.parse_torsion_argument("offset")
@@ -294,8 +278,17 @@ class _Parser:
             self.expect_op(",")
             m = self.expect_int()
             self.expect_op(")")
-            return WpAtom(a, b, m) if text == "wp" else WptAtom(a, b, m)
+            return self.build(pos, WpAtom if text == "wp" else WptAtom, a, b, m)
         self.fail(f"unknown name {text!r}", pos)
+
+    def build(self, pos, make, *args):
+        """make(*args) for the atom named at pos.  Its arguments are checked
+        there, so one outside the atom's domain fails at every bound, not
+        only at bounds past the atom's valuation, and the error names pos."""
+        try:
+            return make(*args)
+        except (QModularError, ValueError) as exc:
+            self.fail(str(exc), pos)
 
     def parse_nested(self, pos) -> FormExpr | Fraction:
         """The expression after an opening '(' at pos, and its ')'."""

@@ -31,7 +31,13 @@ from fractions import Fraction
 from .errors import WeightMismatch
 from .eta import EtaQuotient, level_unit
 from .qseries import _as_fraction
-from .weierstrass import wpt_valuation
+from .weierstrass import (
+    _check_eisenstein,
+    _check_phi_level,
+    _check_wp,
+    _check_wpt,
+    wpt_valuation,
+)
 
 # Every live node, keyed by (class, *fields), held through a weak reference
 # whose callback drops the entry when the node dies, so that the table keeps
@@ -136,30 +142,35 @@ class DeltaRef(FormExpr):
     __slots__ = _fields = ("level",)
 
     def __new__(cls, level):
-        return _node((cls, _int_field("Delta level", level)))
+        level = _int_field("Delta level", level)
+        level_unit(level)  # raises UnknownLevel
+        return _node((cls, level))
 
 
 class _TorsionAtom(FormExpr):
     """A torsion value at offset a*tau + b on the m-fold cover.  a, b are
-    rationals with denominator dividing 2."""
+    rationals with denominator dividing 2, checked against the domain of
+    the subclass's kernel by its _check."""
 
     __slots__ = _fields = ("a", "b", "m")
 
     def __new__(cls, a, b, m):
         m = _int_field("torsion cover m", m)
-        return _node((cls, _as_fraction(a), _as_fraction(b), m))
+        return _node((cls, *cls._check(a, b, m), m))
 
 
 class WpAtom(_TorsionAtom):
     """Torsion value of the rescaled p-function."""
 
     __slots__ = ()
+    _check = staticmethod(_check_wp)
 
 
 class WptAtom(_TorsionAtom):
     """Torsion value of the half-period-shifted companion function."""
 
     __slots__ = ()
+    _check = staticmethod(_check_wpt)
 
 
 class EtaAtom(FormExpr):
@@ -180,18 +191,25 @@ class EisensteinAtom(FormExpr):
 
     def __new__(cls, k, m=1):
         k = _int_field("Eisenstein weight k", k)
-        return _node((cls, k, _int_field("Eisenstein multiplier m", m)))
+        m = _int_field("Eisenstein multiplier m", m)
+        _check_eisenstein(k, m)
+        return _node((cls, k, m))
 
 
 class PhiAtom(FormExpr):
-    """The normalized weight-2 level series Phi_N.  mode selects the
-    expansion route ('weierstrass' torsion sum or 'divisor' sigma sum);
-    both agree and the identity suite keeps them comparable."""
+    """The normalized weight-2 level series Phi_N, 2 <= N <= 10.  mode
+    selects the presentation: 'weierstrass' stands for the torsion sum
+    levels.expand_expr resolves it to, 'divisor' for the sigma sum of
+    weierstrass.phi_level; both agree and the identity suite compares them."""
 
     __slots__ = _fields = ("level", "mode")
 
     def __new__(cls, level, mode="weierstrass"):
-        return _node((cls, _int_field("Phi level", level), mode))
+        level = _int_field("Phi level", level)
+        _check_phi_level(level)
+        if mode not in ("weierstrass", "divisor"):
+            raise ValueError(f"unknown Phi mode {mode!r}")
+        return _node((cls, level, mode))
 
 
 class Sum(FormExpr):
@@ -347,13 +365,11 @@ def _lower_of(e: FormExpr) -> Fraction:
 def make_sum(terms) -> FormExpr:
     """Sum of (coeff, expr) terms with a weight check; a single term with
     coefficient 1 collapses to the bare expression."""
-    items = [(Fraction(c), e) for c, e in terms]
+    items = list(terms)
     if not items:
         raise ValueError("empty sum")
-    s = Sum(items)
+    s = items[0][1] if len(items) == 1 and items[0][0] == 1 else Sum(items)
     weight(s)  # raises WeightMismatch on mixed weights
-    if len(items) == 1 and items[0][0] == 1:
-        return items[0][1]
     return s
 
 

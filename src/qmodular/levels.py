@@ -15,9 +15,17 @@ Also here: expand_expr, the precision-aware evaluator for expression trees
 (it pushes the target precision down through products using valuation lower
 bounds, so sparse high-valuation products cost almost nothing, and keeps
 one bounded cache of the expansions it made), and reduce, the forward
-substitution that writes a series in basis coordinates.  reduce works on
-the integer numerators of the series and of the basis elements, which it
-expands through that cache without building the labelled BasisSet.
+substitution that writes a series in basis coordinates.
+
+A reference node is expanded as the expression it stands for and has no
+cache entry of its own: E(w,N,s) as its registered expression, and Phi(N)
+as its torsion sum over the atoms wp(k,0,N), whose entries it so shares
+with every other tree (for N = 2, 3 and 7 the sum is the node of
+E(2,N,0)).  Only PhiDiv(N) calls weierstrass.phi_level.
+
+reduce works on the integer numerators of the series and of the basis
+elements, which it expands through the cache without building the
+labelled BasisSet.
 """
 
 from __future__ import annotations
@@ -55,34 +63,13 @@ from .expr import (
     WptAtom,
     make_power,
     make_product,
-    make_sum,
     print_expr,
     val_lower,
-    weight,
 )
 from .qseries import HALF, QSeries, _as_fraction, constant_series, lincomb, zero_series
 from .weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
 
 __all__ = [
-    "FormExpr",
-    "Scalar",
-    "GeneratorRef",
-    "DeltaRef",
-    "WpAtom",
-    "WptAtom",
-    "EtaAtom",
-    "EisensteinAtom",
-    "PhiAtom",
-    "Sum",
-    "Product",
-    "Power",
-    "HalfTwist",
-    "make_sum",
-    "make_product",
-    "make_power",
-    "print_expr",
-    "weight",
-    "val_lower",
     "dimension",
     "generator",
     "basis_skeleton",
@@ -396,11 +383,6 @@ class _ExpansionCache:
 
 _CACHE = _ExpansionCache(_CACHE_BUDGET)
 
-# Nodes expanded without the cache: a Scalar's expansion is a constant and
-# zeros, cheaper to build than to store, and a GeneratorRef stands for its
-# registered expression, which is cached itself.
-_UNCACHED = (Scalar, GeneratorRef)
-
 
 def expand_cache_info() -> ExpandCacheInfo:
     """Hits, misses and evictions of the expansion cache since it was last
@@ -413,11 +395,30 @@ def expand_cache_clear() -> None:
     _CACHE.clear()
 
 
+def _phi_sum(level: int) -> Sum:
+    """Phi_N as its torsion sum: -3/(N-1) times the values wp(k, 0, N),
+    0 < k < N, folded by parity (each pair {k, N-k} counted once, doubled;
+    the middle point of even N counted once).  For N = 2, 3 and 7 this is
+    the node of E(2, N, 0)."""
+    return Sum(
+        (Fraction(-3 if 2 * k == level else -6, level - 1), WpAtom(k, 0, level))
+        for k in range(1, level // 2 + 1)
+    )
+
+
 def _expand(e: FormExpr, bound: Fraction, cache) -> QSeries:
     # nothing below the bound: answer without recursing
     if bound <= val_lower(e):
         return zero_series(bound)
-    if cache is None or isinstance(e, _UNCACHED):
+    # a reference is expanded as the expression it stands for, which is
+    # cached under its own node, so it is not stored a second time
+    if isinstance(e, GeneratorRef):
+        return _expand(_resolve_ref(e.level, e.weight, e.index), bound, cache)
+    if isinstance(e, PhiAtom) and e.mode == "weierstrass":
+        return _expand(_phi_sum(e.level), bound, cache)
+    # a Scalar's expansion is a constant and zeros, cheaper to build than
+    # to store
+    if cache is None or isinstance(e, Scalar):
         return _expand_node(e, bound, cache)
     s = cache.get(e, bound)
     if s is None:
@@ -440,12 +441,10 @@ def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
         return e.quotient.expand(bound)
     if isinstance(e, EisensteinAtom):
         return eisenstein(e.k, e.m, bound)
-    if isinstance(e, PhiAtom):
-        return phi_level(e.level, bound, e.mode)
+    if isinstance(e, PhiAtom):  # the divisor presentation
+        return phi_level(e.level, bound)
     if isinstance(e, DeltaRef):
         return delta(e.level, bound)
-    if isinstance(e, GeneratorRef):
-        return _expand(_resolve_ref(e.level, e.weight, e.index), bound, cache)
     if isinstance(e, HalfTwist):
         return _expand(e.child, bound, cache).half_twist()
     if isinstance(e, Sum):

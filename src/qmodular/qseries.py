@@ -506,7 +506,7 @@ class QSeries:
         for i, x in enumerate(self.nums):
             if x == 0:
                 continue
-            body = _fmt_term(Fraction(abs(x), self.d), Fraction(self.val + i, self.den))
+            body = _fmt_term(_rat(abs(x), self.d), _rat(self.val + i, self.den))
             sign = "-" if x < 0 else ("+" if out else "")
             out.append(f"{sign} {body}" if out else sign + body)
         out.append(("+ " if out else "") + f"O(q^{_fmt_exp(self.bound)})")
@@ -545,11 +545,11 @@ def lincomb(terms) -> QSeries:
     return QSeries._make(den, val, out, d, prec)
 
 
-def _fmt_exp(e: Fraction) -> str:
+def _fmt_exp(e: Rat) -> str:
     return str(e) if e.denominator == 1 else f"({e})"
 
 
-def _fmt_term(c: Fraction, e: Fraction) -> str:
+def _fmt_term(c: Rat, e: Rat) -> str:
     if e == 0:
         return str(c)
     q = "q" if e == 1 else f"q^{_fmt_exp(e)}"

@@ -21,8 +21,15 @@ Two families, both weight-2 objects on the m-fold cover:
   for |a| <= m/2, 2a integral, b in {0, 1/2}; the argument is a pole exactly
   when |a| = m/2 and b = 1/2.
 
-Also here: classical Eisenstein series E_k(m tau) and the weight-2 level
-series Phi_N in both of its presentations.
+Also here: classical Eisenstein series E_k(m tau) and the divisor-sum
+presentation of the weight-2 level series Phi_N (its torsion-sum
+presentation is an expression tree over wp_hat values, expanded by
+levels.expand_expr).
+
+Each kernel checks its arguments with one function (_check_wp, _check_wpt,
+_check_eisenstein, _check_phi_level) that the constructor of the matching
+expression node calls as well, so an invalid atom fails when it is built,
+whatever bound it is later expanded to.
 """
 
 from __future__ import annotations
@@ -44,10 +51,39 @@ from .qseries import (
 )
 
 
-def _torsion_den(a: Fraction) -> int:
+def _torsion_args(a, b, m: int):
+    """a and b as Fractions, checked for a torsion value on the m-fold
+    cover: b is 0 or 1/2, m >= 1 and a has denominator 1 or 2."""
+    a = _as_fraction(a)
+    b = _check_phase(b)
+    if m < 1:
+        raise ValueError(f"cover index must be >= 1, got {m}")
     if a.denominator not in (1, 2):
         raise ValueError(f"torsion offset {a} must have denominator 1 or 2")
-    return a.denominator
+    return a, b
+
+
+def _check_wp(a, b, m: int):
+    """The arguments of wp_hat as Fractions (a, b), checked against its
+    domain; the WpAtom constructor and wp_hat both call this."""
+    a, b = _torsion_args(a, b, m)
+    if not (0 <= a < m):
+        raise ValueError(f"offset {a} outside [0, {m})")
+    if a == 0 and b == 0:
+        raise PoleAtArgument("wp_hat at the lattice origin")
+    return a, b
+
+
+def _check_wpt(a, b, m: int):
+    """The arguments of wpt_hat as Fractions (a, b), checked against its
+    domain; the WptAtom constructor and wpt_hat both call this."""
+    a, b = _torsion_args(a, b, m)
+    half = Fraction(m, 2)
+    if not (-half <= a <= half):
+        raise ValueError(f"offset {a} outside [{-half}, {half}]")
+    if abs(a) == half and b == HALF:
+        raise PoleAtArgument(f"wpt_hat pole at offset {a} with phase 1/2")
+    return a, b
 
 
 def wp_hat(a, b, m: int, prec) -> QSeries:
@@ -55,15 +91,9 @@ def wp_hat(a, b, m: int, prec) -> QSeries:
 
     Each S term is accumulated three times over, so that the constant -1/3
     becomes the numerator -1 over the series denominator 3."""
-    a = _as_fraction(a)
-    alternating = _check_phase(b) != 0
-    if m < 1:
-        raise ValueError(f"cover index must be >= 1, got {m}")
-    if not (0 <= a < m):
-        raise ValueError(f"offset {a} outside [0, {m})")
-    den = _torsion_den(a)
-    if a == 0 and not alternating:
-        raise PoleAtArgument("wp_hat at the lattice origin")
+    a, b = _check_wp(a, b, m)
+    alternating = b != 0
+    den = a.denominator
     pn = max(0, math.ceil(_as_fraction(prec) * den))
     arr = [0] * pn
     # offsets and the cover index as steps on the exponent grid
@@ -78,15 +108,7 @@ def wp_hat(a, b, m: int, prec) -> QSeries:
 
 def wpt_hat(a, b, m: int, prec) -> QSeries:
     """q-expansion of the half-period-shifted companion (see module doc)."""
-    a = _as_fraction(a)
-    b = _check_phase(b)
-    if m < 1:
-        raise ValueError(f"cover index must be >= 1, got {m}")
-    if not (-Fraction(m, 2) <= a <= Fraction(m, 2)):
-        raise ValueError(f"offset {a} outside [{-Fraction(m, 2)}, {Fraction(m, 2)}]")
-    _torsion_den(a)
-    if abs(a) == Fraction(m, 2) and b == HALF:
-        raise PoleAtArgument(f"wpt_hat pole at offset {a} with phase 1/2")
+    a, b = _check_wpt(a, b, m)
     den = 2 if (m % 2 == 1 or a.denominator == 2) else 1
     pn = max(0, math.ceil(_as_fraction(prec) * den))
     arr = [0] * pn
@@ -113,13 +135,19 @@ def wpt_valuation(a, b, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def eisenstein(k: int, m: int, prec) -> QSeries:
-    """E_k(m tau) = 1 - (2k/B_k) sum_{n>=1} sigma_{k-1}(n) q^(m n), for even
-    k >= 4."""
+def _check_eisenstein(k: int, m: int) -> None:
+    """Check the arguments of eisenstein: an even weight k >= 4 and a
+    multiplier m >= 1; the EisensteinAtom constructor calls this too."""
     if not isinstance(k, int) or k % 2 == 1 or k < 4:
         raise UnsupportedWeight(f"Eisenstein weight must be even and >= 4, got {k}")
     if m < 1:
         raise ValueError(f"multiplier must be >= 1, got {m}")
+
+
+def eisenstein(k: int, m: int, prec) -> QSeries:
+    """E_k(m tau) = 1 - (2k/B_k) sum_{n>=1} sigma_{k-1}(n) q^(m n), for even
+    k >= 4."""
+    _check_eisenstein(k, m)
     pn = max(0, math.ceil(_as_fraction(prec)))
     coef = Fraction(-2 * k) / bernoulli(k)
     return lincomb(((1, constant_series(1, pn)), (coef, sigma_series(k - 1, m, pn))))
@@ -130,29 +158,26 @@ def eisenstein(k: int, m: int, prec) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def phi_level(N: int, prec, mode: str = "weierstrass") -> QSeries:
-    """Phi_N, the normalized weight-2 form on level N (2 <= N <= 10).
-
-    mode 'weierstrass': -3/(N-1) times the parity-folded sum of the torsion
-    values wp_hat(k, 0, N) over 0 < k < N (each pair {k, N-k} counted once,
-    doubled; the middle point of even N counted once).
-
-    mode 'divisor': 1 + 24/(N-1) * sum_{n>=1} (sigma_1(n) - N sigma_1(n/N)) q^n,
-    the divisor-sum presentation.  Both modes agree; keeping the two routes
-    separate lets the identity suite compare them.
-    """
+def _check_phi_level(N: int) -> None:
+    """Check the level of Phi_N, 2 <= N <= 10; the PhiAtom constructor and
+    phi_level both call this."""
     if not 2 <= N <= 10:
         raise UnknownLevel(f"Phi_N needs 2 <= N <= 10, got {N}")
+
+
+def phi_level(N: int, prec) -> QSeries:
+    """Phi_N, the normalized weight-2 form on level N (2 <= N <= 10), in its
+    divisor-sum presentation
+
+        1 + 24/(N-1) * sum_{n>=1} (sigma_1(n) - N sigma_1(n/N)) q^n
+
+    below q^ceil(prec).  Its other presentation, -3/(N-1) times the
+    parity-folded sum of the torsion values wp_hat(k, 0, N) over 0 < k < N,
+    is an expression tree that levels.expand_expr evaluates for Phi(N), so
+    the identity suite compares the two."""
+    _check_phi_level(N)
     pn = max(0, math.ceil(_as_fraction(prec)))
-    if mode == "weierstrass":
-        # the middle torsion point of even N is its own partner
-        return lincomb(
-            (Fraction(-3 if 2 * k == N else -6, N - 1), wp_hat(Fraction(k), Fraction(0), N, pn))
-            for k in range(1, N // 2 + 1)
-        )
-    if mode == "divisor":
-        c = Fraction(24, N - 1)
-        return lincomb(
-            ((1, constant_series(1, pn)), (c, sigma_series(1, 1, pn)), (-N * c, sigma_series(1, N, pn)))
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    c = Fraction(24, N - 1)
+    return lincomb(
+        ((1, constant_series(1, pn)), (c, sigma_series(1, 1, pn)), (-N * c, sigma_series(1, N, pn)))
+    )

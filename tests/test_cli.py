@@ -430,14 +430,42 @@ def test_exit_code_domain_errors():
 @pytest.mark.parametrize(
     "expr, message",
     [
-        ("wpt(5,0,2)", "offset 5 outside [-1, 1]"),
-        ("wpt(-2,0,3)", "offset -2 outside [-3/2, 3/2]"),
+        ("wpt(5,0,2)", "offset 5 outside [-1, 1] (at position 0)"),
+        ("wpt(-2,0,3)", "offset -2 outside [-3/2, 3/2] (at position 0)"),
         ("wp(1/3,0,2)", "offset 1/3 must have denominator 1 or 2 (at position 3)"),
         ("wp(1/2,1/3,2)", "phase 1/3 must have denominator 1 or 2 (at position 7)"),
     ],
 )
 def test_torsion_domain_errors_name_the_argument(expr, message):
     assert run("expand", "--expr", expr, "--prec", "4") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "expr, position",
+    [
+        ("wp(0,0,3)", 0),  # a pole
+        ("wp(5,0,3)", 0),
+        ("wp(1,3/2,3)", 0),
+        ("wp(1,0,0)", 0),
+        ("wpt(5,0,3)", 0),
+        ("wpt(3/2,1/2,3)", 0),
+        ("Eis(3,1)", 0),
+        ("Eis(4,0)", 0),
+        ("PhiDiv(1)", 0),
+        ("Phi(11)", 0),
+        ("Delta(11)", 0),
+        ("Delta(10)^3*wp(0,0,3)", 12),
+    ],
+)
+@pytest.mark.parametrize("prec", ["0", "9", None])
+def test_invalid_atoms_fail_at_every_bound(expr, position, prec):
+    # below its valuation an atom is never expanded, so it must fail when
+    # it is built
+    bound = () if prec is None else ("--prec", prec)
+    code, out, err = run("expand", "--expr", expr, *bound)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f" (at position {position})\n")
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,7 @@ from qmodular.qseries import HALF, constant_series, zero_series
 from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
 
 from expr_oracle import val_lower
+from torsion_oracle import phi_weierstrass
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,9 @@ def uncached_expand(e: FormExpr, bound: Fraction):
     if isinstance(e, EisensteinAtom):
         return eisenstein(e.k, e.m, bound)
     if isinstance(e, PhiAtom):
-        return phi_level(e.level, bound, e.mode)
+        if e.mode == "weierstrass":
+            return phi_weierstrass(e.level, bound)
+        return phi_level(e.level, bound)
     if isinstance(e, DeltaRef):
         return delta(e.level, bound)
     if isinstance(e, GeneratorRef):
@@ -259,6 +262,9 @@ def test_bounds_the_two_grids_round_apart_bypass_the_cache():
 
 def test_a_rising_bound_session_keeps_one_entry_per_atom():
     atoms = (WpAtom(1, 0, 7), WptAtom(1, 0, 2), EisensteinAtom(4, 1), PhiAtom(7))
+    # Phi(7) is expanded as its torsion sum, the node of E(2,7,0), which is
+    # stored with its three atoms; Phi(7) itself is not stored
+    stored = set(atoms[:3]) | {_resolve_ref(7, 2, 0)} | {WpAtom(k, 0, 7) for k in (2, 3)}
     expand_cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -271,9 +277,38 @@ def test_a_rising_bound_session_keeps_one_entry_per_atom():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # the longest expansion of each atom answers every shorter request
-    assert set(levels._CACHE.entries) == set(atoms)
+    # the longest expansion of each node answers every shorter request
+    assert set(levels._CACHE.entries) == stored
     info = expand_cache_info()
-    assert info.coefficients == 4 * 1000 <= levels._CACHE.budget
+    assert info.coefficients == len(stored) * 1000 <= levels._CACHE.budget
     # what stays is those entries, about 30 bytes per stored coefficient
     assert held < 64 * info.coefficients
+
+
+@pytest.mark.parametrize("level", range(2, 11))
+def test_phi_reuses_the_cached_torsion_atoms(level, monkeypatch):
+    top = 60
+    expand_cache_clear()
+    for k in range(1, level // 2 + 1):
+        expand_expr(WpAtom(k, 0, level), top)
+    calls = []
+    monkeypatch.setattr(levels, "wp_hat", lambda *args: calls.append(args))
+    for b in (top, 17, top):
+        assert expand_expr(PhiAtom(level), b) == phi_weierstrass(level, b).truncate(b)
+    assert calls == []
+    assert PhiAtom(level) not in levels._CACHE.entries
+    assert levels._phi_sum(level) in levels._CACHE.entries
+
+
+@pytest.mark.parametrize("level", (2, 3, 7))
+def test_phi_is_one_hit_on_the_weight_two_head(level):
+    # for these levels the torsion sum of Phi(N) is the node of E(2,N,0)
+    assert levels._phi_sum(level) is _resolve_ref(level, 2, 0)
+    expand_cache_clear()
+    head = expand_expr(GeneratorRef(level, 2, 0), 40)
+    before = expand_cache_info()
+    for b in (40, 25):
+        assert expand_expr(PhiAtom(level), b) == head.truncate(b)
+    after = expand_cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    assert after.coefficients == before.coefficients

@@ -19,6 +19,7 @@ from qmodular.errors import (
     InvalidPrecision,
     InvalidRegistryEntry,
     NotInSpan,
+    PoleAtArgument,
     QModularError,
     UnknownGenerator,
     UnknownLevel,
@@ -489,16 +490,42 @@ def test_expand_expr_half_grid():
 
 def test_torsion_atoms_are_cached_by_the_integer_bound():
     # inside a tree a leaf meets bounds off the integer grid; its one
-    # expansion to ceil(bound) answers all three
+    # expansion to ceil(bound) answers all three.  Phi(2) is stored as its
+    # torsion sum -3*wp(1,0,2), which is stored beside its one atom.
     cache = levels._CACHE
-    for atom in (WpAtom(1, 0, 2), WptAtom(1, 0, 2), PhiAtom(2)):
+    for atom, stored in (
+        (WpAtom(1, 0, 2), {WpAtom(1, 0, 2)}),
+        (WptAtom(1, 0, 2), {WptAtom(1, 0, 2)}),
+        (PhiAtom(2), {Sum([(-3, WpAtom(1, 0, 2))]), WpAtom(1, 0, 2)}),
+    ):
         levels.expand_cache_clear()
         cache.sync(levels._REGISTRY)
         for b in (Fraction(9, 2), Fraction(5), Fraction(13, 3)):
             assert levels._expand(atom, b, cache) == levels._expand(atom, b, None)
+        assert set(cache.entries) == stored, atom
         info = levels.expand_cache_info()
-        assert (info.misses, info.hits) == (1, 2), atom
-        assert info.coefficients == 5, atom
+        assert (info.misses, info.hits) == (len(stored), 2), atom
+        assert info.coefficients == 5 * len(stored), atom
+
+
+def test_atoms_check_their_arguments_when_built():
+    for build, error in (
+        (lambda: WpAtom(0, 0, 3), PoleAtArgument),
+        (lambda: WpAtom(5, 0, 3), ValueError),
+        (lambda: WpAtom(1, Fraction(3, 2), 3), ValueError),
+        (lambda: WpAtom(1, 0, 0), ValueError),
+        (lambda: WpAtom(Fraction(1, 3), 0, 3), ValueError),
+        (lambda: WptAtom(5, 0, 3), ValueError),
+        (lambda: WptAtom(Fraction(3, 2), HALF, 3), PoleAtArgument),
+        (lambda: EisensteinAtom(3, 1), UnsupportedWeight),
+        (lambda: EisensteinAtom(4, 0), ValueError),
+        (lambda: DeltaRef(11), UnknownLevel),
+        (lambda: PhiAtom(1, "divisor"), UnknownLevel),
+        (lambda: PhiAtom(11), UnknownLevel),
+        (lambda: PhiAtom(3, "typo"), ValueError),
+    ):
+        with pytest.raises(error):
+            build()
 
 
 def test_expand_expr_square_of_weight_two_head():

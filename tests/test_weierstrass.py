@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import torsion_oracle as oracle
 from qmodular.errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
+from qmodular.expr import PhiAtom
+from qmodular.levels import expand_expr
 from qmodular.qseries import HALF, QSeries, _as_fraction, inv_sin2, monomial, one_series
 from qmodular.weierstrass import (
     eisenstein,
@@ -306,29 +308,48 @@ def test_eisenstein_rejects_bad_weights():
 # ---------------------------------------------------------------------------
 
 
+def both_presentations(n, prec):
+    """Phi_n below q^prec by the divisor sum and by the torsion sum."""
+    return phi_level(n, prec), expand_expr(PhiAtom(n), prec)
+
+
 def test_phi_frozen_level_5():
-    f = phi_level(5, 5)
-    assert [f.coefficient(i) for i in range(5)] == [1, 6, 18, 24, 42]
+    for f in both_presentations(5, 5):
+        assert [f.coefficient(i) for i in range(5)] == [1, 6, 18, 24, 42]
 
 
 def test_phi_frozen_level_7():
-    f = phi_level(7, 5)
-    assert [f.coefficient(i) for i in range(5)] == [1, 4, 12, 16, 28]
+    for f in both_presentations(7, 5):
+        assert [f.coefficient(i) for i in range(5)] == [1, 4, 12, 16, 28]
 
 
 def test_phi_level_10_fractional_coefficients():
-    f = phi_level(10, 3)
-    assert f.coefficient(1) == Fraction(8, 3)
+    for f in both_presentations(10, 3):
+        assert f.coefficient(1) == Fraction(8, 3)
 
 
 def test_phi_modes_agree():
     for n in range(2, 11):
-        assert phi_level(n, 40) == phi_level(n, 40, mode="divisor"), n
+        assert phi_level(n, 40) == expand_expr(PhiAtom(n), 40), n
 
 
 def test_phi_divisor_small_values():
-    f = phi_level(2, 5, mode="divisor")
+    f = phi_level(2, 5)
     assert [f.coefficient(i) for i in range(5)] == [1, 24, 24, 96, 24]
+
+
+PHI_BOUNDS = list(range(61)) + [400, Fraction(9, 2), Fraction(37, 3)]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_phi_matches_the_torsion_loop(n):
+    # the loop phi_level ran before Phi(N) became its torsion-sum tree;
+    # QSeries equality compares den, val, nums, d and prec
+    for b in PHI_BOUNDS:
+        want = oracle.phi_weierstrass(n, b)
+        assert phi_level(n, b) == want, (n, b)
+        assert expand_expr(PhiAtom(n), b) == want.truncate(b), (n, b)
+        assert expand_expr(PhiAtom(n, "divisor"), b) == want.truncate(b), (n, b)
 
 
 def test_phi_rejects_levels_outside_range():

@@ -5,6 +5,10 @@ per residue class of d, and wp_hat, wpt_hat and inv_sin2 call it once for
 every multiple c of the cover index below the bound.  The package now sums
 each arithmetic progression of c in one pass (qseries._add_progression);
 the code here is kept as it was, so the differential tests compare the two.
+
+phi_weierstrass is the torsion-sum loop weierstrass.phi_level ran for
+Phi_N before Phi(N) became an expression tree expanded by
+levels.expand_expr; it is kept as the oracle for that route.
 """
 
 from __future__ import annotations
@@ -13,9 +17,15 @@ import math
 import operator
 from fractions import Fraction
 
-from qmodular.errors import FractionalExponent, InvalidPrecision, PoleAtArgument
-from qmodular.qseries import HALF, QSeries, _as_fraction, _check_phase
-from qmodular.weierstrass import _torsion_den
+from qmodular import weierstrass
+from qmodular.errors import FractionalExponent, InvalidPrecision, PoleAtArgument, UnknownLevel
+from qmodular.qseries import HALF, QSeries, _as_fraction, _check_phase, lincomb
+
+
+def _torsion_den(a: Fraction) -> int:
+    if a.denominator not in (1, 2):
+        raise ValueError(f"torsion offset {a} must have denominator 1 or 2")
+    return a.denominator
 
 
 def _add_s(arr, step: int, alternating: bool, w: int = 1) -> None:
@@ -130,3 +140,17 @@ def wpt_hat(a, b, m: int, prec) -> QSeries:
             _add_s(arr, base, True, -1)
             h += 2 * m if h > 0 else -2 * m
     return QSeries._make(den, 0, arr, 1, pn)
+
+
+def phi_weierstrass(N: int, prec) -> QSeries:
+    """Phi_N as -3/(N-1) times the parity-folded sum of the torsion values
+    wp_hat(k, 0, N) over 0 < k < N (each pair {k, N-k} counted once,
+    doubled; the middle point of even N counted once), below q^ceil(prec)."""
+    if not 2 <= N <= 10:
+        raise UnknownLevel(f"Phi_N needs 2 <= N <= 10, got {N}")
+    pn = max(0, math.ceil(_as_fraction(prec)))
+    # the middle torsion point of even N is its own partner
+    return lincomb(
+        (Fraction(-3 if 2 * k == N else -6, N - 1), weierstrass.wp_hat(Fraction(k), Fraction(0), N, pn))
+        for k in range(1, N // 2 + 1)
+    )
