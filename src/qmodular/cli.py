@@ -385,7 +385,7 @@ def _cmd_basis(args):
 
 def _cmd_dims(args):
     if args.weight is not None and args.level is None:
-        raise QModularError("--weight without --level: pick a level 1..10")
+        raise QModularError("--weight without --level: pick a level")
     if args.level is not None and args.weight is not None:
         d = dimension(args.level, args.weight)
         if args.format == "json":
@@ -393,7 +393,7 @@ def _cmd_dims(args):
                 {"level": args.level, "weight": args.weight, "dimension": d}
             )
         return 0, f"{d}\n"
-    levels = [args.level] if args.level is not None else list(range(1, 11))
+    levels = [args.level] if args.level is not None else sorted(DELTA_TABLE)
     rows = [
         {
             "level": n,

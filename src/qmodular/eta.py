@@ -164,8 +164,12 @@ DELTA_TABLE = {
 
 
 def level_unit(level: int) -> LevelUnit:
+    """The unit Delta_N of the level.  This is the one check of the level
+    range: a level is supported when the table has its unit."""
     if level not in DELTA_TABLE:
-        raise UnknownLevel(f"no level data for N={level} (supported: 1..10)")
+        raise UnknownLevel(
+            f"level must be in {min(DELTA_TABLE)}..{max(DELTA_TABLE)}, got {level}"
+        )
     return DELTA_TABLE[level]
 
 

@@ -213,13 +213,15 @@ class PhiAtom(FormExpr):
 
 
 class Sum(FormExpr):
-    """Linear combination: tuple of (coefficient, expression) terms, all of
-    the same weight."""
+    """Linear combination: a nonempty tuple of (coefficient, expression)
+    terms, all of the same weight."""
 
     __slots__ = _fields = ("terms",)
 
     def __new__(cls, terms):
         items = tuple((_as_fraction(c), e) for c, e in terms)
+        if not items:
+            raise ValueError("empty sum")
         for _, e in items:
             if not isinstance(e, FormExpr):
                 raise TypeError(f"sum term {e!r} is not a FormExpr")
@@ -227,12 +229,14 @@ class Sum(FormExpr):
 
 
 class Product(FormExpr):
-    """Product of factors (weights add)."""
+    """Product of a nonempty tuple of factors (weights add)."""
 
     __slots__ = _fields = ("factors",)
 
     def __new__(cls, factors):
         items = tuple(factors)
+        if not items:
+            raise ValueError("empty product")
         for e in items:
             if not isinstance(e, FormExpr):
                 raise TypeError(f"product factor {e!r} is not a FormExpr")
@@ -323,7 +327,7 @@ def _weight_of(e: FormExpr) -> Fraction:
                 raise WeightMismatch(
                     f"sum mixes weights {ws[0]} and {w}"
                 )
-        return ws[0] if ws else Fraction(0)
+        return ws[0]
     if isinstance(e, Product):
         return sum((weight(f) for f in e.factors), Fraction(0))
     if isinstance(e, Power):
@@ -347,8 +351,6 @@ def _lower_of(e: FormExpr) -> Fraction:
     if isinstance(e, HalfTwist):
         return val_lower(e.child)
     if isinstance(e, Sum):
-        if not e.terms:
-            return Fraction(0)
         return min(val_lower(f) for _, f in e.terms)
     if isinstance(e, Product):
         return sum((val_lower(f) for f in e.factors), Fraction(0))
@@ -364,10 +366,9 @@ def _lower_of(e: FormExpr) -> Fraction:
 
 def make_sum(terms) -> FormExpr:
     """Sum of (coeff, expr) terms with a weight check; a single term with
-    coefficient 1 collapses to the bare expression."""
+    coefficient 1 collapses to the bare expression; no terms raise
+    ValueError."""
     items = list(terms)
-    if not items:
-        raise ValueError("empty sum")
     s = items[0][1] if len(items) == 1 and items[0][0] == 1 else Sum(items)
     weight(s)  # raises WeightMismatch on mixed weights
     return s
@@ -465,8 +466,6 @@ def _to_str(e: FormExpr) -> str:
     if isinstance(e, Product):
         return "*".join(_render(f, _LVL_POW) for f in e.factors)
     if isinstance(e, Sum):
-        if not e.terms:
-            return "0"
         out = []
         for i, (c, f) in enumerate(e.terms):
             if i == 0:

@@ -27,11 +27,9 @@ from .expr import (
     Sum,
     WpAtom,
     WptAtom,
-    make_power,
-    make_product,
     weight,
 )
-from .levels import _sym, expand_expr
+from .levels import _poly, _sym, expand_expr
 from .qseries import HALF
 
 
@@ -90,21 +88,6 @@ def _register(name, lhs, rhs, note, default_prec=200):
     assert name not in REGISTRY, name
     assert weight(lhs) == weight(rhs), (name, weight(lhs), weight(rhs))
     REGISTRY[name] = IdentityCase(name, lhs, rhs, note, default_prec)
-
-
-def _mono(x, i, y, j):
-    """x^i * y^j with collapsed trivial powers."""
-    fs = []
-    if i:
-        fs.append(make_power(x, i))
-    if j:
-        fs.append(make_power(y, j))
-    return make_product(fs)
-
-
-def _poly(x, y, coeffs):
-    """sum over (c, i, j) of c * x^i * y^j."""
-    return Sum([(c, _mono(x, i, y, j)) for c, i, j in coeffs])
 
 
 def _build():

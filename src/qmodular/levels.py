@@ -26,6 +26,11 @@ E(2,N,0)).  Only PhiDiv(N) calls weierstrass.phi_level.
 reduce works on the integer numerators of the series and of the basis
 elements, which it expands through the cache without building the
 labelled BasisSet.
+
+Each fact about a space is checked in one place: the level range by
+eta.level_unit, a zero-dimensional space by _nonzero_dimension (before any
+precision check), and a unitary element of the right valuation by
+_check_unitary, which generator and every basis expansion call.
 """
 
 from __future__ import annotations
@@ -43,10 +48,9 @@ from .errors import (
     InvalidRegistryEntry,
     NotInSpan,
     UnknownGenerator,
-    UnknownLevel,
     UnsupportedWeight,
 )
-from .eta import DELTA_TABLE, EtaQuotient, delta, level_unit
+from .eta import EtaQuotient, delta, level_unit
 from .expr import (
     DeltaRef,
     EisensteinAtom,
@@ -88,11 +92,6 @@ __all__ = [
 # dimensions
 # ---------------------------------------------------------------------------
 
-def _check_level(level: int) -> None:
-    if level not in DELTA_TABLE:
-        raise UnknownLevel(f"level must be in 1..10, got {level}")
-
-
 def _check_weight(wt: int) -> None:
     if not isinstance(wt, int) or wt < 2 or wt % 2:
         raise UnsupportedWeight(f"weight must be an even integer >= 2, got {wt}")
@@ -102,9 +101,8 @@ def dimension(level: int, wt: int) -> int:
     """dim M_wt(Gamma0(level)) for even wt >= 2: s rungs of the unit ladder
     take wt down to a base weight wt - s*rho <= rho, and each rung adds nu
     to the length of the registry row there (an absent row is empty)."""
-    _check_level(level)
+    unit = level_unit(level)
     _check_weight(wt)
-    unit = DELTA_TABLE[level]
     s = (wt - 1) // unit.rho
     return len(_REGISTRY.get((level, wt - s * unit.rho), ())) + s * unit.nu
 
@@ -126,11 +124,17 @@ def _eisenstein_head(wt: int) -> FormExpr:
     return Product((make_power(EisensteinAtom(4, 1), (j - 3) // 2), EisensteinAtom(6, 1)))
 
 
+def _poly(x: FormExpr, y: FormExpr, coeffs) -> Sum:
+    """sum over (c, i, j) of c * x^i * y^j."""
+    return Sum(
+        (c, make_product([make_power(b, k) for b, k in ((x, i), (y, j)) if k]))
+        for c, i, j in coeffs
+    )
+
+
 def _sym(x: FormExpr, y: FormExpr, scale=1) -> Sum:
     """scale * (x^2 + y^2 + x*y)."""
-    return Sum(
-        [(scale, Power(x, 2)), (scale, Power(y, 2)), (scale, Product((x, y)))]
-    )
+    return _poly(x, y, [(scale, 2, 0), (scale, 0, 2), (scale, 1, 1)])
 
 
 def _build_registry():
@@ -274,7 +278,7 @@ _REGISTRY = _build_registry()
 
 def _resolve_ref(level: int, wt: int, index: int) -> FormExpr:
     """Defining expression of the registered generator E(wt, level, index)."""
-    _check_level(level)
+    level_unit(level)
     _check_weight(wt)
     if level == 1 and index == 0 and wt > 12:
         # the head of every level-1 weight above the registry rows
@@ -448,8 +452,6 @@ def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
     if isinstance(e, HalfTwist):
         return _expand(e.child, bound, cache).half_twist()
     if isinstance(e, Sum):
-        if not e.terms:
-            return zero_series(bound)
         return lincomb((c, _expand(f, bound, cache)) for c, f in e.terms)
     if isinstance(e, Product):
         folded, rest = _fold_eta(e.factors)
@@ -504,6 +506,18 @@ def expand_expr(e: FormExpr, prec) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
+def _check_unitary(ex: FormExpr, ser: QSeries, level: int, wt: int, index: int) -> None:
+    """Check that ser, the expansion of the element ex of M_wt(Gamma0(level))
+    below a bound above q^index, is unitary of valuation index on the
+    integer grid; the error names ex, printed only when the check fails."""
+    # valuation index below the bound leaves nums nonempty
+    if ser.den != 1 or ser.val != index or ser.nums[0] != ser.d:
+        raise InvalidRegistryEntry(
+            f"basis element {print_expr(ex)} of M_{wt}(Gamma0({level})) "
+            f"expands with valuation {ser.valuation}, leading {ser.leading}"
+        )
+
+
 def generator(level: int, wt: int, index: int, prec=None):
     """The registered generator as (expression, expansion), validated to be
     unitary of valuation `index` on the integer grid."""
@@ -514,11 +528,7 @@ def generator(level: int, wt: int, index: int, prec=None):
             f"precision {p} cannot exhibit the leading term at q^{index}"
         )
     ser = expand_expr(ex, p)
-    if ser.den != 1 or ser.valuation != index or ser.leading != 1:
-        raise InvalidRegistryEntry(
-            f"E({wt},{level},{index}) expands with valuation {ser.valuation} "
-            f"and leading coefficient {ser.leading}"
-        )
+    _check_unitary(GeneratorRef(level, wt, index), ser, level, wt, index)
     return ex, ser
 
 
@@ -541,12 +551,18 @@ def _row_element(level: int, wt: int, index: int) -> FormExpr:
     return GeneratorRef(level, wt, index) if isinstance(ex, Sum) else ex
 
 
-def basis_skeleton(level: int, wt: int):
-    """The expressions of the unitary upper-triangular basis, ordered by
-    claimed valuation 0, 1, ..., dim-1 (no expansion happens here)."""
+def _nonzero_dimension(level: int, wt: int) -> int:
+    """dimension(level, wt), which must be positive: EmptySpace otherwise."""
     d = dimension(level, wt)
     if d == 0:
         raise EmptySpace(f"M_{wt}(Gamma0({level})) is zero-dimensional")
+    return d
+
+
+def basis_skeleton(level: int, wt: int):
+    """The expressions of the unitary upper-triangular basis, ordered by
+    claimed valuation 0, 1, ..., dim-1 (no expansion happens here)."""
+    d = _nonzero_dimension(level, wt)
     unit = level_unit(level)
     rho, nu = unit.rho, unit.nu
     out = []
@@ -622,12 +638,7 @@ def _expanded_basis(level: int, wt: int, p: int) -> list:
     out = []
     for s, ex in enumerate(basis_skeleton(level, wt)):
         ser = expand_expr(ex, p)
-        # valuation s below the bound p > s leaves nums nonempty
-        if ser.den != 1 or ser.val != s or ser.nums[0] != ser.d:
-            raise InvalidRegistryEntry(
-                f"basis element {print_expr(ex)} of M_{wt}(Gamma0({level})) "
-                f"expands with valuation {ser.valuation}, leading {ser.leading}"
-            )
+        _check_unitary(ex, ser, level, wt, s)
         out.append((ex, ser))
     return out
 
@@ -635,9 +646,7 @@ def _expanded_basis(level: int, wt: int, p: int) -> list:
 def basis(level: int, wt: int, prec: int) -> BasisSet:
     """Unitary upper-triangular basis of M_wt(Gamma0(level)), each element
     expanded below exponent prec (prec >= dimension so every pivot shows)."""
-    d = dimension(level, wt)
-    if d == 0:
-        raise EmptySpace(f"M_{wt}(Gamma0({level})) is zero-dimensional")
+    d = _nonzero_dimension(level, wt)
     p = int(prec)
     if p < d:
         raise InsufficientPrecision(
@@ -655,41 +664,33 @@ def basis(level: int, wt: int, prec: int) -> BasisSet:
 # ---------------------------------------------------------------------------
 
 
-def reduce(f: QSeries, level: int, wt: int, prec=None):
+def reduce(f: QSeries, level: int, wt: int):
     """Coordinates of f in the unitary upper-triangular basis, by forward
     substitution on the pivots 0..dim-1.
 
-    The residual must vanish everywhere below min(prec, f.bound); the first
-    surviving exponent otherwise lands in the NotInSpan error.  f must carry
-    at least dim + 5 known coefficients so that membership is actually
-    tested, not merely interpolated.
+    The residual must vanish everywhere below f.bound; the first surviving
+    exponent otherwise lands in the NotInSpan error.  f must carry at least
+    dim + 5 known coefficients so that membership is actually tested, not
+    merely interpolated.
 
-    The substitution runs on integer numerators: the truncated residual is
-    one int list xs over one denominator den on its own exponent grid, and
+    The substitution runs on integer numerators: the residual is one int
+    list xs over one denominator den on its own exponent grid, and
     element i, with numerators e over d_i and e[0] == d_i, clears the slot
     of q^i in place by xs <- xs * d_i - xs[slot] * e from that slot on, and
     den <- den * d_i.  The slots below it are not rescaled: a pivot there is
     zero already, and any other slot only has to stay nonzero."""
-    d = dimension(level, wt)
-    if d == 0:
-        raise EmptySpace(f"M_{wt}(Gamma0({level})) is zero-dimensional")
+    d = _nonzero_dimension(level, wt)
     if f.bound < d + 5:
         raise InsufficientPrecision(
             f"series known below q^{f.bound} but dimension {d} needs at least q^{d + 5}"
         )
-    depth = f.bound if prec is None else min(_as_fraction(prec), f.bound)
-    if depth < d:
-        raise InsufficientPrecision(
-            f"comparison depth {depth} below the dimension {d}"
-        )
-    elements = _expanded_basis(level, wt, math.ceil(depth))
-    residual = f.truncate(depth)
-    r, v = residual.den, residual.val
-    xs = list(residual.nums)
-    den = residual.d
+    elements = _expanded_basis(level, wt, math.ceil(f.bound))
+    r, v = f.den, f.val
+    xs = list(f.nums)
+    den = f.d
     coords = []
-    # element i covers q^i .. q^(ceil(depth) - 1), the integer slots of the
-    # residual from q^i to its end
+    # element i covers q^i .. q^(ceil(f.bound) - 1), the integer slots of
+    # the residual from q^i to its end
     for i, (_, e) in enumerate(elements):
         at = i * r - v
         x = xs[at] if at >= 0 else 0

@@ -563,11 +563,9 @@ def _fmt_term(c: Rat, e: Rat) -> str:
 # -- constructors ------------------------------------------------------------
 
 
-def monomial(coeff, p, q=1, prec=None) -> QSeries:
+def monomial(coeff, p, q, prec) -> QSeries:
     """c * q^(p/q) + O(q^prec).  prec is an exponent bound (int or rational)
     and must exceed p/q."""
-    if prec is None:
-        raise TypeError("monomial requires a precision bound")
     e = Fraction(p, q)
     if e.denominator not in (1, 2):
         raise FractionalExponent(f"exponent {e} not in (1/2)Z")

@@ -29,7 +29,8 @@ levels.expand_expr).
 Each kernel checks its arguments with one function (_check_wp, _check_wpt,
 _check_eisenstein, _check_phi_level) that the constructor of the matching
 expression node calls as well, so an invalid atom fails when it is built,
-whatever bound it is later expanded to.
+whatever bound it is later expanded to.  The level range of Phi_N is the
+unit table's, checked by eta.level_unit as every level is.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import math
 from fractions import Fraction
 
 from .errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
+from .eta import level_unit
 from .qseries import (
     HALF,
     QSeries,
@@ -159,10 +161,11 @@ def eisenstein(k: int, m: int, prec) -> QSeries:
 
 
 def _check_phi_level(N: int) -> None:
-    """Check the level of Phi_N, 2 <= N <= 10; the PhiAtom constructor and
-    phi_level both call this."""
-    if not 2 <= N <= 10:
-        raise UnknownLevel(f"Phi_N needs 2 <= N <= 10, got {N}")
+    """Check the level of Phi_N: a level of the unit table (eta.level_unit)
+    other than 1; the PhiAtom constructor and phi_level both call this."""
+    level_unit(N)
+    if N < 2:
+        raise UnknownLevel(f"Phi_N needs N >= 2, got {N}")
 
 
 def phi_level(N: int, prec) -> QSeries:

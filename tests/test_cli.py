@@ -35,6 +35,7 @@ from qmodular.expr import (
 )
 from qmodular.eta import EtaQuotient
 from qmodular.identities import IdentityCase
+from qmodular.levels import expand_expr
 from qmodular.qseries import HALF
 
 
@@ -141,6 +142,12 @@ def test_tokens_match_the_scanning_lexer(src):
 # print/parse round-trips on random trees
 # ---------------------------------------------------------------------------
 
+def eta(m, k=1):
+    """eta(m)^k in the shape the parser builds: the bare atom when k is 1."""
+    atom = EtaAtom(((m, 1),))
+    return atom if k == 1 else Power(atom, k)
+
+
 ATOM_POOL = {
     2: [
         WpAtom(1, 0, 2),
@@ -154,6 +161,8 @@ ATOM_POOL = {
         HalfTwist(WptAtom(HALF, 0, 1)),
         DeltaRef(4),
         DeltaRef(9),
+        eta(3, 4),
+        Product((eta(1, 3), eta(9))),
     ],
     4: [
         EisensteinAtom(4),
@@ -162,14 +171,17 @@ ATOM_POOL = {
         DeltaRef(10),
         GeneratorRef(10, 4, 3),
         GeneratorRef(5, 4, 1),
+        Product((eta(1, 4), eta(2, 4))),
     ],
     6: [
         EisensteinAtom(6),
         DeltaRef(3),
         DeltaRef(7),
         GeneratorRef(7, 6, 3),
+        eta(2, 12),
     ],
-    12: [DeltaRef(1), EisensteinAtom(12)],
+    8: [EisensteinAtom(8), Product((eta(1, 8), eta(2, 8)))],
+    12: [DeltaRef(1), EisensteinAtom(12), eta(1, 24)],
 }
 
 
@@ -209,6 +221,24 @@ def test_print_parse_round_trip_random_trees():
         assert print_expr(back) == s, s
         assert weight(back) == weight(t), s
     assert len(seen) > 100  # the generator really does vary
+
+
+def test_eta_quotients_print_in_the_grammar():
+    # a quotient built through the API prints as the product the parser
+    # reads back; both expand alike
+    for quotient, text in [
+        ([(1, 8), (2, 8)], "eta(1)^8*eta(2)^8"),
+        ([(1, 24)], "eta(1)^24"),
+        ([(9, 1), (1, 3)], "eta(1)^3*eta(9)"),
+    ]:
+        atom = EtaAtom(EtaQuotient(quotient))
+        assert print_expr(atom) == text
+        back = parse_expr(text)
+        assert print_expr(back) == text and weight(back) == weight(atom)
+        assert expand_expr(back, 12) == expand_expr(atom, 12)
+    product = EtaAtom(EtaQuotient([(1, 4), (2, 4)]))
+    assert print_expr(Power(product, 2)) == "(eta(1)^4*eta(2)^4)^2"
+    assert print_expr(Sum([(-2, product)])) == "-2*eta(1)^4*eta(2)^4"
 
 
 def test_structural_round_trip_on_plain_trees():
@@ -292,6 +322,13 @@ def test_bench_command():
 # ---------------------------------------------------------------------------
 # JSON payloads
 # ---------------------------------------------------------------------------
+
+
+def test_expand_json_names_an_eta_power():
+    code, out, _ = run("expand", "--expr", "eta(1)^24", "--prec", "3", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["expr"] == "eta(1)^24"
+    assert doc["terms"] == [["1", "1"], ["2", "-24"]]
 
 
 def test_expand_json_half_grid():
@@ -421,10 +458,26 @@ def test_exit_code_parse_error():
 
 def test_exit_code_domain_errors():
     code, _, err = run("expand", "--expr", "Delta(11)", "--prec", "4")
-    assert code == 2 and "N=11" in err
+    assert code == 2 and "level must be in 1..10, got 11" in err
     # parses, then fails in the torsion-value domain check
     code, _, err = run("expand", "--expr", "wp(1,2,3)", "--prec", "4")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (("dims", "--level", "11"), None),
+        (("basis", "--level", "11", "--weight", "4"), None),
+        (("reduce", "--level", "11", "--weight", "4", "--expr", "E4"), None),
+        (("expand", "--expr", "Delta(11)"), 0),
+        (("expand", "--expr", "Phi(11)"), 0),
+        (("expand", "--expr", "E(2,11,0)"), 0),
+    ],
+)
+def test_every_unsupported_level_has_one_message(argv, position):
+    where = "" if position is None else f" (at position {position})"
+    assert run(*argv) == (2, "", f"error: level must be in 1..10, got 11{where}\n")
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,13 @@ def test_integer_fields_reject_non_ints(make):
         make()
 
 
+@pytest.mark.parametrize("make", [Sum, Product])
+@pytest.mark.parametrize("empty", [(), []])
+def test_empty_sums_and_products_fail_when_built(make, empty):
+    with pytest.raises(ValueError, match="^empty"):
+        make(empty)
+
+
 @pytest.mark.parametrize("exponent", [True, False, 2.0, Fraction(2), -1])
 def test_power_exponent_rejects_non_ints(exponent):
     with pytest.raises(ValueError):

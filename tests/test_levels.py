@@ -423,6 +423,11 @@ def test_level_one_skeleton_matches_the_closed_form():
 def test_basis_errors():
     with pytest.raises(EmptySpace):
         basis(1, 2, 8)
+    with pytest.raises(EmptySpace):
+        basis_skeleton(1, 2)
+    # an empty space is reported before a precision that is too small
+    with pytest.raises(EmptySpace):
+        basis(1, 2, -1)
     with pytest.raises(InsufficientPrecision):
         basis(2, 4, 1)
     with pytest.raises(UnknownLevel):
@@ -681,17 +686,18 @@ def test_reduce_not_in_span_half_exponent():
 def test_reduce_guards():
     with pytest.raises(EmptySpace):
         reduce(delta(1, 20), 1, 2)
+    with pytest.raises(EmptySpace):
+        reduce(delta(1, 3), 1, 2)
     with pytest.raises(InsufficientPrecision):
         reduce(expand_expr(GeneratorRef(2, 2, 0), 5), 2, 2)
 
 
-def lincomb_reduce(f, level, wt, prec=None):
+def lincomb_reduce(f, level, wt):
     """The oracle: the forward substitution as it was before the integer
     solve, on the labelled basis with one lincomb per nonzero coordinate.
-    It leaves out reduce's guards on the dimension and the depth."""
-    depth = f.bound if prec is None else min(Fraction(prec), f.bound)
-    b = basis(level, wt, math.ceil(depth))
-    residual = f.truncate(depth)
+    It leaves out reduce's guards on the dimension and the bound of f."""
+    b = basis(level, wt, math.ceil(f.bound))
+    residual = f
     coords = []
     for el in b.elements:
         c = Fraction(residual.coefficient(el.index))
@@ -703,11 +709,11 @@ def lincomb_reduce(f, level, wt, prec=None):
     return coords
 
 
-def reduce_outcome(solve, f, level, wt, prec):
+def reduce_outcome(solve, f, level, wt):
     """The coordinates with their types, or the NotInSpan exponent (with its
     type) and message."""
     try:
-        coords = solve(f, level, wt, prec)
+        coords = solve(f, level, wt)
     except NotInSpan as exc:
         return "not in span", exc.exponent, type(exc.exponent), str(exc)
     return [(c, type(c)) for c in coords]
@@ -722,22 +728,19 @@ PERTURBATION_COEFFICIENTS = st.sampled_from((1, -2, HALF))
 
 @st.composite
 def reduce_cases(draw):
-    """(level, weight, coordinates, bound of f, prec argument, perturbation):
-    f is the combination of the basis below the bound, which is off the
+    """(level, weight, coordinates, bound of f, perturbation): f is the
+    combination of the basis below the bound, which is off the
     integer grid half the time, plus, when drawn, a monomial c q^e at an
     integer or half-integer e from -1 up."""
     n, w = draw(st.sampled_from(SPACES))
     d = dimension(n, w)
     coords = draw(st.lists(COORDINATES, min_size=d, max_size=d))
     bound = Fraction(2 * d + 10 + draw(st.integers(0, 8)), 2)
-    prec = None
-    if draw(st.booleans()):
-        prec = Fraction(draw(st.integers(6 * d, int(6 * bound))), 6)
     perturb = None
     if draw(st.booleans()):
         e = Fraction(draw(st.integers(-2, int(2 * bound) - 1)), 2)
         perturb = e, draw(PERTURBATION_COEFFICIENTS)
-    return n, w, coords, bound, prec, perturb
+    return n, w, coords, bound, perturb
 
 
 def combination(n, w, coords, bound):
@@ -753,28 +756,29 @@ def combination(n, w, coords, bound):
 @settings(max_examples=100, deadline=None)
 @given(reduce_cases())
 # a den-2 residual at an odd bound, its odd slots zero: in span
-@example((2, 4, [Fraction(1), Fraction(-3, 2)], Fraction(15, 2), None, None))
+@example((2, 4, [Fraction(1), Fraction(-3, 2)], Fraction(15, 2), None))
 # a negative valuation
-@example((3, 6, [Fraction(1), 0, Fraction(2)], Fraction(17, 2), None, (Fraction(-1), 1)))
-@example((3, 6, [Fraction(1), 0, Fraction(2)], Fraction(9), None, (Fraction(-1, 2), -2)))
+@example((3, 6, [Fraction(1), 0, Fraction(2)], Fraction(17, 2), (Fraction(-1), 1)))
+@example((3, 6, [Fraction(1), 0, Fraction(2)], Fraction(9), (Fraction(-1, 2), -2)))
 # the zero series, which is what E4 - E4 expands to
-@example((1, 4, [Fraction(0)], Fraction(6), None, None))
-# fractional prec arguments, one of them cutting off the perturbation
-@example((5, 4, [Fraction(1, 2), 3, -1], Fraction(9), Fraction(13, 2), (Fraction(7), 1)))
-@example((5, 4, [Fraction(1, 2), 3, -1], Fraction(19, 2), Fraction(17, 3), (Fraction(11, 2), HALF)))
+@example((1, 4, [Fraction(0)], Fraction(6), None))
+# perturbations at integer and half-integer exponents on the integer and
+# half grids
+@example((5, 4, [Fraction(1, 2), 3, -1], Fraction(9), (Fraction(7), 1)))
+@example((5, 4, [Fraction(1, 2), 3, -1], Fraction(19, 2), (Fraction(11, 2), HALF)))
 # elements over a denominator d_i > 1 (E(6,7,3) has d_i = 2) and level 10
-@example((7, 12, [Fraction(k, 3) for k in range(9)], Fraction(14), None, None))
-@example((7, 6, [1, 2, 3, Fraction(5, 4), -1], Fraction(11), None, (Fraction(9, 2), 1)))
-@example((10, 4, [Fraction(k - 3, 2) for k in range(7)], Fraction(12), None, (Fraction(11), -2)))
+@example((7, 12, [Fraction(k, 3) for k in range(9)], Fraction(14), None))
+@example((7, 6, [1, 2, 3, Fraction(5, 4), -1], Fraction(11), (Fraction(9, 2), 1)))
+@example((10, 4, [Fraction(k - 3, 2) for k in range(7)], Fraction(12), (Fraction(11), -2)))
 def test_reduce_matches_the_lincomb_oracle(case):
-    n, w, coords, bound, prec, perturb = case
+    n, w, coords, bound, perturb = case
     f = combination(n, w, coords, bound)
     if perturb is not None:
         e, c = perturb
         f = f + monomial(c, e.numerator, e.denominator, bound)
     assert f.bound == bound
-    got = reduce_outcome(reduce, f, n, w, prec)
-    assert got == reduce_outcome(lincomb_reduce, f, n, w, prec)
+    got = reduce_outcome(reduce, f, n, w)
+    assert got == reduce_outcome(lincomb_reduce, f, n, w)
     if perturb is None:
         assert got == [(Fraction(c), Fraction) for c in coords]
 
@@ -808,6 +812,12 @@ def test_reduce_raises_the_registry_error_basis_raises(monkeypatch, edit, spaces
         assert str(by_reduce.value) == str(by_basis.value)
     with pytest.raises(InvalidRegistryEntry, match=message):
         reduce(fs[spaces[0]], *spaces[0])
+
+
+def test_generator_rejects_a_registered_element_that_is_not_unitary(monkeypatch):
+    double_e220(monkeypatch)
+    with pytest.raises(InvalidRegistryEntry, match=r"^basis element E\(2,2,0\) of M_2.*leading 2$"):
+        generator(2, 2, 0, 6)
 
 
 # ---------------------------------------------------------------------------
