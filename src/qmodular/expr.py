@@ -12,12 +12,18 @@ constructor, so copies are the interned node.  A node's hash is computed
 once, at construction, from its children's; nothing here expands anything --
 expansion lives in levels.expand_expr, which uses the two static queries
 every node supports, each computed on first use from the children's cached
-values and then kept on the node:
+values and then kept on the node as a plain int in a fixed unit:
 
-* weight(e): the modular weight, an exact Fraction;
-* val_lower(e): a lower bound on the leading exponent of the expansion,
-  exact for atoms and combined in the obvious way (min over sums, sum over
-  products).  It is what makes high-valuation products cheap to expand.
+* the modular weight, cached as twice the weight (_weight2; every weight
+  lies in (1/2)Z, since an eta quotient has weight sum(e)/2);
+* a lower bound on the leading exponent of the expansion, cached as 24
+  times the bound (_lower24; every leading exponent lies in (1/24)Z, since
+  an eta quotient's is sum(m e)/24), exact for atoms and combined in the
+  obvious way (min over sums, sum over products).  It is what makes
+  high-valuation products cheap to expand.
+
+The public weight(e) and val_lower(e) turn these ints into exact Fractions;
+levels and make_sum's weight check work on the ints.
 
 print_expr renders a tree in the same grammar the CLI parses, so
 parse(print_expr(e)) round-trips for trees made of grammar constructs.
@@ -79,9 +85,9 @@ class FormExpr:
     """Base of the expression nodes.
 
     A node holds its fields, its table key and hash, and the cached weight
-    (_weight) and valuation bound (_lower), which stay unset until first
-    asked for.  Subclasses list their fields in _fields, in constructor
-    order."""
+    (_weight, in halves) and valuation bound (_lower, in 24ths), ints that
+    stay unset until first asked for.  Subclasses list their fields in
+    _fields, in constructor order."""
 
     __slots__ = ("_key", "_hash", "_weight", "_lower", "__weakref__")
     _fields = ()
@@ -275,88 +281,88 @@ class HalfTwist(FormExpr):
 
 
 def weight(e: FormExpr) -> Fraction:
-    """Modular weight of the expression, as an exact Fraction, computed once
-    per node.
+    """Modular weight of the expression, as an exact Fraction.
 
     Raises WeightMismatch if a Sum mixes weights, on every call: a failure
     is not cached."""
-    try:
-        return e._weight
-    except AttributeError:
-        pass
-    w = _weight_of(e)
-    object.__setattr__(e, "_weight", w)
-    return w
+    return Fraction(_weight2(e), 2)
 
 
 def val_lower(e: FormExpr) -> Fraction:
-    """A lower bound on the leading exponent of e's q-expansion, computed
-    once per node.
+    """A lower bound on the leading exponent of e's q-expansion, as an exact
+    Fraction.
 
     Exact for every atom; for composites it is the natural combination
     (min over sum terms, sum over product factors), which stays a sound
     bound even when cancellation raises the true valuation."""
+    return Fraction(_lower24(e), 24)
+
+
+def _weight2(e: FormExpr) -> int:
+    """Twice the weight of e, computed once per node and kept in _weight."""
+    try:
+        return e._weight
+    except AttributeError:
+        pass
+    if isinstance(e, Scalar):
+        w = 0
+    elif isinstance(e, GeneratorRef):
+        w = 2 * e.weight
+    elif isinstance(e, DeltaRef):
+        w = 2 * level_unit(e.level).rho
+    elif isinstance(e, (_TorsionAtom, PhiAtom)):
+        w = 4
+    elif isinstance(e, EtaAtom):
+        w = int(2 * e.quotient.weight)
+    elif isinstance(e, EisensteinAtom):
+        w = 2 * e.k
+    elif isinstance(e, HalfTwist):
+        w = _weight2(e.child)
+    elif isinstance(e, Sum):
+        w, *rest = [_weight2(f) for _, f in e.terms]
+        for x in rest:
+            if x != w:
+                raise WeightMismatch(f"sum mixes weights {Fraction(w, 2)} and {Fraction(x, 2)}")
+    elif isinstance(e, Product):
+        w = sum(_weight2(f) for f in e.factors)
+    elif isinstance(e, Power):
+        w = _weight2(e.base) * e.exponent
+    else:
+        raise TypeError(f"not a FormExpr: {e!r}")
+    object.__setattr__(e, "_weight", w)
+    return w
+
+
+def _lower24(e: FormExpr) -> int:
+    """24 times val_lower(e), computed once per node and kept in _lower."""
     try:
         return e._lower
     except AttributeError:
         pass
-    v = _lower_of(e)
-    object.__setattr__(e, "_lower", v)
-    return v
-
-
-def _weight_of(e: FormExpr) -> Fraction:
-    if isinstance(e, Scalar):
-        return Fraction(0)
-    if isinstance(e, GeneratorRef):
-        return Fraction(e.weight)
-    if isinstance(e, DeltaRef):
-        return Fraction(level_unit(e.level).rho)
-    if isinstance(e, (_TorsionAtom, PhiAtom)):
-        return Fraction(2)
-    if isinstance(e, EtaAtom):
-        return e.quotient.weight
-    if isinstance(e, EisensteinAtom):
-        return Fraction(e.k)
-    if isinstance(e, HalfTwist):
-        return weight(e.child)
-    if isinstance(e, Sum):
-        ws = [weight(f) for _, f in e.terms]
-        for w in ws[1:]:
-            if w != ws[0]:
-                raise WeightMismatch(
-                    f"sum mixes weights {ws[0]} and {w}"
-                )
-        return ws[0]
-    if isinstance(e, Product):
-        return sum((weight(f) for f in e.factors), Fraction(0))
-    if isinstance(e, Power):
-        return weight(e.base) * e.exponent
-    raise TypeError(f"not a FormExpr: {e!r}")
-
-
-def _lower_of(e: FormExpr) -> Fraction:
     if isinstance(e, (Scalar, WpAtom, EisensteinAtom, PhiAtom)):
-        return Fraction(0)
-    if isinstance(e, WptAtom):
-        return wpt_valuation(e.a, e.b, e.m)
-    if isinstance(e, EtaAtom):
-        return e.quotient.lead_exponent
-    if isinstance(e, DeltaRef):
-        return Fraction(level_unit(e.level).nu)
-    if isinstance(e, GeneratorRef):
+        v = 0
+    elif isinstance(e, WptAtom):
+        v = int(24 * wpt_valuation(e.a, e.b, e.m))
+    elif isinstance(e, EtaAtom):
+        v = int(24 * e.quotient.lead_exponent)
+    elif isinstance(e, DeltaRef):
+        v = 24 * level_unit(e.level).nu
+    elif isinstance(e, GeneratorRef):
         # the index alone, never the registry, so an edited registry leaves
         # no stale bound here (expand_expr checks the bound it reached)
-        return Fraction(e.index)
-    if isinstance(e, HalfTwist):
-        return val_lower(e.child)
-    if isinstance(e, Sum):
-        return min(val_lower(f) for _, f in e.terms)
-    if isinstance(e, Product):
-        return sum((val_lower(f) for f in e.factors), Fraction(0))
-    if isinstance(e, Power):
-        return val_lower(e.base) * e.exponent
-    raise TypeError(f"not a FormExpr: {e!r}")
+        v = 24 * e.index
+    elif isinstance(e, HalfTwist):
+        v = _lower24(e.child)
+    elif isinstance(e, Sum):
+        v = min(_lower24(f) for _, f in e.terms)
+    elif isinstance(e, Product):
+        v = sum(_lower24(f) for f in e.factors)
+    elif isinstance(e, Power):
+        v = _lower24(e.base) * e.exponent
+    else:
+        raise TypeError(f"not a FormExpr: {e!r}")
+    object.__setattr__(e, "_lower", v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +376,7 @@ def make_sum(terms) -> FormExpr:
     ValueError."""
     items = list(terms)
     s = items[0][1] if len(items) == 1 and items[0][0] == 1 else Sum(items)
-    weight(s)  # raises WeightMismatch on mixed weights
+    _weight2(s)  # raises WeightMismatch on mixed weights
     return s
 
 

@@ -35,7 +35,6 @@ _check_unitary, which generator and every basis expansion call.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,10 +64,10 @@ from .expr import (
     Sum,
     WpAtom,
     WptAtom,
+    _lower24,
     make_power,
     make_product,
     print_expr,
-    val_lower,
 )
 from .qseries import HALF, QSeries, _as_fraction, constant_series, lincomb, zero_series
 from .weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
@@ -356,15 +355,16 @@ class _ExpansionCache:
             self.size = 0
             self.registry = dict(registry)
 
-    def get(self, e: FormExpr, bound: Fraction):
+    def get(self, e: FormExpr, bound: int):
+        """The entry for e cut below q^(bound/24), or None when it stops short."""
         s = self.entries.get(e)
-        # s.bound < bound, without building the Fraction s.bound
-        if s is None or s.prec * bound.denominator < bound.numerator * s.den:
+        # s.bound < bound/24
+        if s is None or 24 * s.prec < bound * s.den:
             self.misses += 1
             return None
         self.hits += 1
         self.entries.move_to_end(e)
-        return s.truncate(bound)
+        return s._cut(-(-bound * s.den // 24))
 
     def put(self, e: FormExpr, s: QSeries) -> None:
         # a shorter entry for e may have been evicted while s was computed
@@ -410,10 +410,17 @@ def _phi_sum(level: int) -> Sum:
     )
 
 
-def _expand(e: FormExpr, bound: Fraction, cache) -> QSeries:
+def _expand(e: FormExpr, bound: int, cache) -> QSeries:
+    """The expansion of e below q^(bound/24).
+
+    The bound is an int in units of 1/24, as are the valuation bounds
+    (expr._lower24) it is compared with and moved by, so the recursion does
+    its bound arithmetic on ints.  The kernels take an exponent: constants
+    and the torsion, Eisenstein and divisor kernels the ceiling of bound/24,
+    the eta quotients and the zero series the exact bound/24."""
     # nothing below the bound: answer without recursing
-    if bound <= val_lower(e):
-        return zero_series(bound)
+    if bound <= _lower24(e):
+        return zero_series(Fraction(bound, 24))
     # a reference is expanded as the expression it stands for, which is
     # cached under its own node, so it is not stored a second time
     if isinstance(e, GeneratorRef):
@@ -431,24 +438,26 @@ def _expand(e: FormExpr, bound: Fraction, cache) -> QSeries:
     return s
 
 
-def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
+def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
+    top = -(-bound // 24)
     if isinstance(e, Scalar):
-        return constant_series(e.value, bound)
-    # Torsion atoms expand to ceil(bound), which fixes the answer's grid at a
-    # fractional bound: wp(5/2,1/2,5) is stored on the integer grid below q^1
-    # (its half-integer slots there are zero), on the half grid below q^(1/2).
+        return constant_series(e.value, top)
+    # Torsion atoms expand to the bound's ceiling, top, which fixes the
+    # answer's grid at a fractional bound: wp(5/2,1/2,5) is stored on the
+    # integer grid below q^1 (its half-integer slots there are zero), on the
+    # half grid below q^(1/2).
     if isinstance(e, WpAtom):
-        return wp_hat(e.a, e.b, e.m, math.ceil(bound))
+        return wp_hat(e.a, e.b, e.m, top)
     if isinstance(e, WptAtom):
-        return wpt_hat(e.a, e.b, e.m, math.ceil(bound))
+        return wpt_hat(e.a, e.b, e.m, top)
     if isinstance(e, EtaAtom):
-        return e.quotient.expand(bound)
+        return e.quotient.expand(Fraction(bound, 24))
     if isinstance(e, EisensteinAtom):
-        return eisenstein(e.k, e.m, bound)
+        return eisenstein(e.k, e.m, top)
     if isinstance(e, PhiAtom):  # the divisor presentation
-        return phi_level(e.level, bound)
+        return phi_level(e.level, top)
     if isinstance(e, DeltaRef):
-        return delta(e.level, bound)
+        return delta(e.level, Fraction(bound, 24))
     if isinstance(e, HalfTwist):
         return _expand(e.child, bound, cache).half_twist()
     if isinstance(e, Sum):
@@ -458,26 +467,30 @@ def _expand_node(e: FormExpr, bound: Fraction, cache) -> QSeries:
         factors = ([folded] if folded is not None else []) + rest
         if len(factors) == 1:
             return _expand(factors[0], bound, cache)
-        # folding keeps the product's bound: val_lower is additive
-        slack = bound - val_lower(e)
+        # folding keeps the product's bound: the valuation bound is additive
+        slack = bound - _lower24(e)
         acc = None
         for f in factors:
-            t = _expand(f, slack + val_lower(f), cache)
+            t = _expand(f, slack + _lower24(f), cache)
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
         if e.exponent == 0:
-            return constant_series(1, bound)
+            return constant_series(1, top)
         if isinstance(e.base, EtaAtom):
             return _expand(_fold_eta((e,))[0], bound, cache)
-        lo = val_lower(e.base)
-        t = _expand(e.base, bound - (e.exponent - 1) * lo, cache)
+        t = _expand(e.base, bound - (e.exponent - 1) * _lower24(e.base), cache)
         return t.pow(e.exponent)
     raise TypeError(f"not a FormExpr: {e!r}")
 
 
 def expand_expr(e: FormExpr, prec) -> QSeries:
     """q-expansion of the expression tree below exponent prec.
+
+    The evaluation runs on the int ceil(24 prec), the bound in units of 1/24
+    (see _expand).  Rounding prec up to a multiple of 1/24 changes no
+    answer: every exponent the evaluation compares a bound with lies in
+    (1/24)Z, and every grid it rounds a bound to, (1/2)Z or Z, is coarser.
 
     The answer's bound is prec rounded up on the exponent grid of the series
     the evaluation ends with.  When the integer and half-integer grids round
@@ -487,18 +500,20 @@ def expand_expr(e: FormExpr, prec) -> QSeries:
     b = _as_fraction(prec)
     if b < 0:
         raise InvalidPrecision(f"negative bound {prec}")
+    bound = -(-24 * b.numerator // b.denominator)
     cache = None
-    if math.ceil(2 * b) == 2 * math.ceil(b):
+    # ceil(2 b) == 2 ceil(b)
+    if -(-bound // 12) == 2 * -(-bound // 24):
         cache = _CACHE
         cache.sync(_REGISTRY)
-    res = _expand(e, b, cache)
-    if res.bound < b:
-        # val_lower trusts the registry: a generator edited to a lower
-        # valuation than its index leaves a product short of its bound
+    res = _expand(e, bound, cache)
+    if 24 * res.prec < bound * res.den:
+        # the valuation bound trusts the registry: a generator edited to a
+        # lower valuation than its index leaves a product short of its bound
         raise InsufficientPrecision(
             f"expansion reached q^{res.bound}, below the requested bound q^{b}"
         )
-    return res.truncate(b)
+    return res._cut(-(-bound * res.den // 24))
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +695,11 @@ def reduce(f: QSeries, level: int, wt: int):
     den <- den * d_i.  The slots below it are not rescaled: a pivot there is
     zero already, and any other slot only has to stay nonzero."""
     d = _nonzero_dimension(level, wt)
-    if f.bound < d + 5:
+    if f.prec < (d + 5) * f.den:
         raise InsufficientPrecision(
             f"series known below q^{f.bound} but dimension {d} needs at least q^{d + 5}"
         )
-    elements = _expanded_basis(level, wt, math.ceil(f.bound))
+    elements = _expanded_basis(level, wt, -(-f.prec // f.den))
     r, v = f.den, f.val
     xs = list(f.nums)
     den = f.d

@@ -479,7 +479,10 @@ class QSeries:
     def truncate(self, bound) -> "QSeries":
         """Forget everything at exponents >= bound (no-op if already shorter)."""
         b = _as_fraction(bound)
-        p = -(-b.numerator * self.den // b.denominator)
+        return self._cut(-(-b.numerator * self.den // b.denominator))
+
+    def _cut(self, p: int) -> "QSeries":
+        """Forget everything at exponents >= p/den (no-op if already shorter)."""
         if p >= self.prec:
             return self
         # dropping terms can lower the common denominator

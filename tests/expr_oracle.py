@@ -1,11 +1,18 @@
-"""The static queries as they were before expression nodes cached them:
-weight and val_lower recomputed by recursion over the whole tree on every
-call.  Kept as the oracle the cached values are tested against."""
+"""Oracles for the expression layer, kept to test the fast paths against.
 
+* weight and val_lower as they were before expression nodes cached them:
+  recomputed by recursion over the whole tree on every call, as Fractions.
+* expand_expr as it was before bounds became ints in units of 1/24: the
+  same evaluator and cache rules, with every bound, valuation and slack a
+  Fraction, and val_lower from this module.
+"""
+
+import math
 from fractions import Fraction
 
-from qmodular.errors import WeightMismatch
-from qmodular.eta import level_unit
+from qmodular import levels
+from qmodular.errors import InsufficientPrecision, InvalidPrecision, WeightMismatch
+from qmodular.eta import delta, level_unit
 from qmodular.expr import (
     DeltaRef,
     EisensteinAtom,
@@ -20,7 +27,9 @@ from qmodular.expr import (
     WpAtom,
     WptAtom,
 )
-from qmodular.weierstrass import wpt_valuation
+from qmodular.levels import _fold_eta, _phi_sum, _resolve_ref
+from qmodular.qseries import _as_fraction, constant_series, lincomb, zero_series
+from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat, wpt_valuation
 
 
 def weight(e) -> Fraction:
@@ -93,3 +102,100 @@ def subtrees(e):
         elif isinstance(x, HalfTwist):
             stack.append(x.child)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the evaluator with Fraction bounds
+# ---------------------------------------------------------------------------
+
+
+class FractionBoundCache(levels._ExpansionCache):
+    """The expansion cache, looked up by a Fraction bound."""
+
+    def get(self, e, bound):
+        s = self.entries.get(e)
+        if s is None or s.bound < bound:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.entries.move_to_end(e)
+        return s.truncate(bound)
+
+
+CACHE = FractionBoundCache(levels._CACHE_BUDGET)
+
+
+def _expand(e, bound, cache):
+    # nothing below the bound: answer without recursing
+    if bound <= val_lower(e):
+        return zero_series(bound)
+    if isinstance(e, GeneratorRef):
+        return _expand(_resolve_ref(e.level, e.weight, e.index), bound, cache)
+    if isinstance(e, PhiAtom) and e.mode == "weierstrass":
+        return _expand(_phi_sum(e.level), bound, cache)
+    if cache is None or isinstance(e, Scalar):
+        return _expand_node(e, bound, cache)
+    s = cache.get(e, bound)
+    if s is None:
+        s = _expand_node(e, bound, cache)
+        cache.put(e, s)
+    return s
+
+
+def _expand_node(e, bound, cache):
+    if isinstance(e, Scalar):
+        return constant_series(e.value, bound)
+    if isinstance(e, WpAtom):
+        return wp_hat(e.a, e.b, e.m, math.ceil(bound))
+    if isinstance(e, WptAtom):
+        return wpt_hat(e.a, e.b, e.m, math.ceil(bound))
+    if isinstance(e, EtaAtom):
+        return e.quotient.expand(bound)
+    if isinstance(e, EisensteinAtom):
+        return eisenstein(e.k, e.m, bound)
+    if isinstance(e, PhiAtom):
+        return phi_level(e.level, bound)
+    if isinstance(e, DeltaRef):
+        return delta(e.level, bound)
+    if isinstance(e, HalfTwist):
+        return _expand(e.child, bound, cache).half_twist()
+    if isinstance(e, Sum):
+        return lincomb((c, _expand(f, bound, cache)) for c, f in e.terms)
+    if isinstance(e, Product):
+        folded, rest = _fold_eta(e.factors)
+        factors = ([folded] if folded is not None else []) + rest
+        if len(factors) == 1:
+            return _expand(factors[0], bound, cache)
+        slack = bound - val_lower(e)
+        acc = None
+        for f in factors:
+            t = _expand(f, slack + val_lower(f), cache)
+            acc = t if acc is None else acc * t
+        return acc
+    if isinstance(e, Power):
+        if e.exponent == 0:
+            return constant_series(1, bound)
+        if isinstance(e.base, EtaAtom):
+            return _expand(_fold_eta((e,))[0], bound, cache)
+        lo = val_lower(e.base)
+        t = _expand(e.base, bound - (e.exponent - 1) * lo, cache)
+        return t.pow(e.exponent)
+    raise TypeError(f"not a FormExpr: {e!r}")
+
+
+def expand_expr(e, prec):
+    """q-expansion of e below exponent prec, through CACHE; a bound that the
+    integer and half-integer grids round apart bypasses it."""
+    b = _as_fraction(prec)
+    if b < 0:
+        raise InvalidPrecision(f"negative bound {prec}")
+    cache = None
+    if math.ceil(2 * b) == 2 * math.ceil(b):
+        cache = CACHE
+        cache.sync(levels._REGISTRY)
+    res = _expand(e, b, cache)
+    if res.bound < b:
+        raise InsufficientPrecision(
+            f"expansion reached q^{res.bound}, below the requested bound q^{b}"
+        )
+    return res.truncate(b)

@@ -331,6 +331,17 @@ def test_expand_json_names_an_eta_power():
     assert doc["terms"] == [["1", "1"], ["2", "-24"]]
 
 
+def test_expand_json_half_integral_weight():
+    code, out, _ = run("expand", "--expr", "eta(12)", "--prec", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "expr": "eta(12)",
+        "weight": "1/2",
+        "precision": "3",
+        "terms": [["1/2", "1"]],
+    }
+
+
 def test_expand_json_half_grid():
     code, out, _ = run(
         "expand", "--expr", "wpt(1/2,0,1)", "--prec", "3", "--format", "json"
@@ -423,9 +434,13 @@ def test_exit_code_not_in_span():
 
 
 def test_exit_code_weight_mismatch():
-    code, _, err = run("expand", "--expr", "E(2,3,0) + Delta(2)", "--prec", "5")
-    assert code == 2
-    assert err == "error: sum mixes weights 2 and 4\n"
+    for expr, prec, weights in (
+        ("E(2,3,0) + Delta(2)", "5", "2 and 4"),
+        ("eta(12)+E4", "4", "1/2 and 4"),
+    ):
+        code, _, err = run("expand", "--expr", expr, "--prec", prec)
+        assert code == 2
+        assert err == f"error: sum mixes weights {weights}\n"
 
 
 @pytest.mark.parametrize(
@@ -437,6 +452,7 @@ def test_exit_code_weight_mismatch():
         # the written weight decides, also for an expression that is zero
         ("E4-E4", "1", "16", "4"),
         ("0", "2", "4", "0"),
+        ("eta(12)", "4", "2", "1/2"),
     ],
 )
 def test_exit_code_reduce_weight_mismatch(expr, level, wt, expr_weight):

@@ -1,7 +1,9 @@
 """The expansion cache in levels._expand: it never changes an answer (a
 differential test against the uncached evaluator kept here as the oracle),
 it never serves an expansion made under an older generator registry, and
-its counters show what it did.
+its counters show what it did.  The evaluator's int bounds, in units of
+1/24, give the answers of the Fraction-bound evaluator kept in expr_oracle,
+from a cold and from a warm cache.
 
 These tests clear the cache themselves, so they pass in a process of their
 own as well as after the rest of the suite has filled it."""
@@ -12,8 +14,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import expr_oracle
 from qmodular import levels
+from qmodular.cli import parse_expr
+from qmodular.errors import FractionalExponent
 from qmodular.eta import delta
 from qmodular.expr import (
     DeltaRef,
@@ -312,3 +319,83 @@ def test_phi_is_one_hit_on_the_weight_two_head(level):
     after = expand_cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
     assert after.coefficients == before.coefficients
+
+
+# ---------------------------------------------------------------------------
+# int bounds against the Fraction-bound evaluator
+# ---------------------------------------------------------------------------
+
+DIFF_EXPRS = (
+    [ex for row in levels._REGISTRY.values() for ex in row]
+    + [
+        ex
+        for n in range(1, 11)
+        for w in range(2, 25, 2)
+        if dimension(n, w)
+        for ex in basis_skeleton(n, w)
+    ]
+    + IDENTITY_SIDES
+    + LEAVES
+)
+# integers, halves, thirds and 24ths, and the two bounds the two grids
+# round apart (13/3) and alike (17/3)
+DIFF_BOUNDS = st.one_of(
+    st.integers(0, 30),
+    st.integers(0, 40).map(lambda k: F(k, 2)),
+    st.integers(0, 40).map(lambda k: F(k, 3)),
+    st.integers(0, 72).map(lambda k: F(k, 24)),
+    st.sampled_from([F(13, 3), F(17, 3)]),
+)
+
+
+def outcome(expand, e, b):
+    """The series expand(e, b) as its fields, or the error it raised as its
+    type and message."""
+    try:
+        s = expand(e, b)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s.den, s.val, s.nums, s.d, s.prec
+
+
+# off-grid eta atoms, whose leading exponents lie in (1/24)Z outside (1/2)Z:
+# at or below that exponent the zero shortcut answers, above it the
+# expansion raises FractionalExponent
+OFF_GRID = [
+    ("eta(1)", F(1, 24), "O(q^(1/2))"),
+    ("eta(1)", 0, "O(q^0)"),
+    ("eta(1)*eta(23)", 1, "O(q^1)"),
+    ("eta(1)*eta(23)", 3, "q - q^2 + O(q^3)"),
+    ("eta(1)*eta(2)", F(1, 8), "O(q^(1/2))"),
+    ("eta(1)*eta(2)", F(1, 3), FractionalExponent),
+]
+
+
+@pytest.mark.parametrize("src, b, answer", OFF_GRID)
+def test_off_grid_eta_atoms_keep_their_answers(src, b, answer):
+    e = parse_expr(src)
+    if isinstance(answer, str):
+        assert expand_expr(e, b).to_text() == answer
+    else:
+        with pytest.raises(answer):
+            expand_expr(e, b)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@settings(max_examples=150, deadline=None)
+@given(e=st.sampled_from(DIFF_EXPRS), b=DIFF_BOUNDS, first=DIFF_BOUNDS)
+@example(e=parse_expr("eta(1)"), b=F(1, 24), first=F(1, 2))
+@example(e=parse_expr("eta(1)"), b=0, first=1)
+@example(e=parse_expr("eta(1)*eta(23)"), b=1, first=3)
+@example(e=parse_expr("eta(1)*eta(23)"), b=3, first=1)
+@example(e=parse_expr("eta(1)*eta(2)"), b=F(1, 8), first=F(1, 3))
+@example(e=parse_expr("eta(1)*eta(2)"), b=F(1, 3), first=F(1, 8))
+def test_int_bounds_match_the_fraction_bound_evaluator(warm, e, b, first):
+    # cold: both caches empty; warm: whatever earlier examples left, and e
+    # expanded first at another bound
+    expr_oracle.CACHE.clear()
+    if warm:
+        assert outcome(expand_expr, e, first) == outcome(expr_oracle.expand_expr, e, first)
+    else:
+        expand_cache_clear()
+    assert outcome(expand_expr, e, b) == outcome(expr_oracle.expand_expr, e, b)

@@ -497,6 +497,7 @@ def test_torsion_atoms_are_cached_by_the_integer_bound():
     # inside a tree a leaf meets bounds off the integer grid; its one
     # expansion to ceil(bound) answers all three.  Phi(2) is stored as its
     # torsion sum -3*wp(1,0,2), which is stored beside its one atom.
+    # levels._expand takes its bound in units of 1/24: 9/2, 5 and 13/3.
     cache = levels._CACHE
     for atom, stored in (
         (WpAtom(1, 0, 2), {WpAtom(1, 0, 2)}),
@@ -505,7 +506,7 @@ def test_torsion_atoms_are_cached_by_the_integer_bound():
     ):
         levels.expand_cache_clear()
         cache.sync(levels._REGISTRY)
-        for b in (Fraction(9, 2), Fraction(5), Fraction(13, 3)):
+        for b in (108, 120, 104):
             assert levels._expand(atom, b, cache) == levels._expand(atom, b, None)
         assert set(cache.entries) == stored, atom
         info = levels.expand_cache_info()
