@@ -23,6 +23,17 @@ The expression grammar, parsed by recursive descent:
             | 'Phi' '(' uint ')' | 'PhiDiv' '(' uint ')'
             | 'twist' '(' expr ')'
 
+One regular expression, run once by re.findall, lexes the source.  A token
+is a whole call with integer arguments (E(w,N,s), Delta(N), Eis(k,m),
+Phi(N), PhiDiv(N), eta(m)), a whole wp/wpt(a,b,m), '^' with its exponent,
+an integer or p/q rational, a name, or any other single character;
+whitespace separates tokens and may stand between any two grammar
+symbols.  The descent indexes the token list and keeps each term's
+coefficient as an int pair.  No source position is kept: one is found
+only to raise a ParseError, by matching the tokens again with
+re.finditer, and a malformed call is read again one integer, name or
+character at a time, so that the error names the first bad unit.
+
 Scalar factors fold into sum coefficients, so print_expr round-trips
 through this parser for any tree the grammar can produce.  Parentheses and
 twist(...) may nest at most _MAX_DEPTH deep, '^' exponents are at most
@@ -35,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -94,220 +106,241 @@ _MAX_PREC = 100_000
 _MAX_WEIGHT = 700
 
 
-def _tokenize(src: str) -> list:
-    """Every (kind, text, position) token of src, in order, ending with
-    ("eof", "", len(src)).  Kinds: "int" (a run of digits), "name" (a
-    letter, then letters and digits) and "op" (any other single character);
-    whitespace separates tokens."""
-    tokens = []
-    pos, n = 0, len(src)
-    while True:
-        while pos < n and src[pos].isspace():
-            pos += 1
-        if pos >= n:
-            tokens.append(("eof", "", n))
-            return tokens
-        ch = src[pos]
-        j = pos + 1
-        if ch.isdigit():
-            kind = "int"
-            while j < n and src[j].isdigit():
-                j += 1
-        elif ch.isalpha():
-            kind = "name"
-            while j < n and src[j].isalnum():
-                j += 1
-        else:
-            kind = "op"
-        tokens.append((kind, src[pos:j], pos))
-        pos = j
+# The lexer: one match per token, after the whitespace before it.  Tuple
+# slots of re.findall: 0-1 a call with integer arguments (name, arguments),
+# 2-3 wp/wpt and their three arguments, 4 the exponent of '^', 5-6 an
+# integer and its optional '/' denominator, 7 a name, 8 any other single
+# character.  Every call the grammar accepts is one token, so a call name
+# read on its own begins a malformed call.
+_ARG = r"-?\s*\d+(?:\s*/\s*\d+)?"
+_TOKEN = (
+    r"\s*(?:(E|Delta|Eis|Phi|PhiDiv|eta)\s*\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)"
+    rf"|(wpt?)\s*\(\s*({_ARG}\s*,\s*{_ARG}\s*,\s*\d+)\s*\)"
+    r"|\^\s*(\d+)|(\d+)(?:\s*/\s*(\d+))?|([^\W\d_][^\W_]*)|(\S))"
+)
+_EOF = ("",) * 9
+# One integer, name or character per token: the units an error names.
+_UNIT = r"\s*(\d+|[^\W\d_][^\W_]*|\S)"
+
+
+def _generator(w, n, s):
+    """E(w,N,s), resolved here, so a name with no registered generator
+    fails at every bound, not only at bounds past its index."""
+    _resolve_ref(n, w, s)
+    return GeneratorRef(n, w, s)
+
+
+# name -> (argument kinds, constructor).  Kinds: i an integer, w a weight
+# (an integer at most _MAX_WEIGHT), o/p a torsion offset/phase.
+_CALLS = {
+    "E": ("iii", _generator),
+    "Delta": ("i", DeltaRef),
+    "Eis": ("wi", EisensteinAtom),
+    "Phi": ("i", PhiAtom),
+    "PhiDiv": ("i", lambda n: PhiAtom(n, "divisor")),
+    "eta": ("i", lambda m: EtaAtom(((m, 1),))),
+    "wp": ("opi", WpAtom),
+    "wpt": ("opi", WptAtom),
+}
 
 
 class _Parser:
-    """Recursive descent over the tokens of the source, lexed once.  A token
-    is consumed (self.i += 1) only after peek has shown it is not the
-    closing "eof", so the cursor never runs past the end."""
+    """Recursive descent over the token tuples, lexed once by re.findall and
+    ended by _EOF; each method takes a token index and returns the index
+    after what it read.  Positions are found only to raise (position)."""
 
     def __init__(self, src: str):
-        self.tokens = _tokenize(src)
-        self.i = 0
+        self.src = src
+        self.toks = [*re.findall(_TOKEN, src), _EOF]
         self.depth = 0
 
-    def peek(self):
-        """(kind, text, position) of the next token without consuming it."""
-        return self.tokens[self.i]
+    def position(self, i, group=0):
+        """Source position of token i (of its group, if given); past the
+        last token, the end of the source."""
+        for k, m in enumerate(re.finditer(_TOKEN, self.src)):
+            if k == i:
+                return m.start(group) if group else m.end() - len(m[0].lstrip())
+        return len(self.src)
 
-    def fail(self, message, pos=None):
-        raise ParseError(message, self.peek()[2] if pos is None else pos)
+    def fail(self, message, i, group=0):
+        raise ParseError(message, self.position(i, group))
 
-    def eat_op(self, ch) -> bool:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == ch:
-            self.i += 1
-            return True
-        return False
-
-    def expect_op(self, ch):
-        if not self.eat_op(ch):
-            self.fail(f"expected {ch!r}")
-
-    def expect_int(self) -> int:
-        kind, text, _ = self.peek()
-        if kind != "int":
-            self.fail("expected an integer")
-        self.i += 1
-        return int(text)
-
-    def expect_capped_int(self, what: str, cap: int) -> int:
-        """An integer at most cap; a larger one fails at its position."""
-        pos = self.peek()[2]
-        n = self.expect_int()
-        if n > cap:
-            self.fail(f"{what} {n} exceeds the cap {cap}", pos)
-        return n
+    def fail_unit(self, message, i):
+        """Fail at token i, naming its first unit: message % repr(unit)."""
+        m = re.compile(_UNIT).match(self.src, self.position(i))
+        text = m[1] if m else ""
+        self.fail(message % repr(text) if text else "unexpected end of input", i)
 
     def parse(self) -> FormExpr:
-        e = self.parse_sum()
-        kind, text, pos = self.peek()
-        if kind != "eof":
-            self.fail(f"unexpected {text!r}", pos)
+        e, i = self.sum(0)
+        if self.toks[i] is not _EOF:
+            self.fail_unit("unexpected %s", i)
         return _as_node(e)
 
-    def parse_sum(self) -> FormExpr | Fraction:
+    def sum(self, i):
+        """The sum at token i: a node, or a Fraction when no term has a
+        form factor.  Each term's coefficient is kept as an int pair and
+        made a Fraction once."""
+        toks = self.toks
         terms = []
-        sign = -1 if self.eat_op("-") else 1
-        terms.append(self.parse_term(sign))
+        sign = 1
+        if toks[i][8] == "-":
+            sign = -1
+            i += 1
         while True:
-            if self.eat_op("+"):
-                terms.append(self.parse_term(1))
-            elif self.eat_op("-"):
-                terms.append(self.parse_term(-1))
-            else:
+            num, den, cores = sign, 1, []
+            while True:
+                t = toks[i]
+                i += 1
+                f = None
+                if t[5]:
+                    p = int(t[5])
+                    q = int(t[6]) if t[6] else 1
+                    if not q:
+                        self.fail("zero denominator", i)
+                    if not t[6] and toks[i][8] == "/":
+                        self.fail("expected an integer", i + 1)
+                elif t[0]:
+                    f = self.call(i - 1)
+                else:
+                    f, i = self.atom(i - 1)
+                x = toks[i]
+                if x[4]:
+                    n = int(x[4])
+                    if n > _MAX_EXPONENT:
+                        self.fail(f"exponent {n} exceeds the cap {_MAX_EXPONENT}", i, 5)
+                    i += 1
+                    x = toks[i]
+                    if f is None:
+                        p, q = p**n, q**n
+                    else:
+                        f = f**n if type(f) is Fraction else Power(f, n)
+                elif x[8] == "^":
+                    self.fail("expected an integer", i + 1)
+                if f is None:
+                    num *= p
+                    den *= q
+                elif type(f) is Fraction:
+                    num *= f.numerator
+                    den *= f.denominator
+                else:
+                    cores.append(f)
+                if x[8] != "*":
+                    break
+                i += 1
+            terms.append((Fraction(num, den), cores))
+            op = toks[i][8]
+            if op != "+" and op != "-":
                 break
-        if len(terms) == 1 and terms[0][1] is None:
-            return terms[0][0]
-        return make_sum((c, Scalar(1) if core is None else core) for c, core in terms)
+            sign = 1 if op == "+" else -1
+            i += 1
+        if len(terms) == 1 and not terms[0][1]:
+            return terms[0][0], i
+        return make_sum(
+            (c, cores[0] if len(cores) == 1 else Product(cores) if cores else Scalar(1))
+            for c, cores in terms
+        ), i
 
-    def parse_term(self, sign: int):
-        """(coefficient, core) of one term; the core is None when every
-        factor is a number."""
-        coeff = Fraction(sign)
-        cores = []
-        while True:
-            f = self.parse_factor()
-            if isinstance(f, Fraction):
-                coeff *= f
-            else:
-                cores.append(f)
-            if not self.eat_op("*"):
-                break
-        if not cores:
-            return (coeff, None)
-        core = cores[0] if len(cores) == 1 else Product(cores)
-        return (coeff, core)
+    def atom(self, i):
+        """The atom at token i, which is not a number; sum reads the calls
+        with integer arguments itself."""
+        t = self.toks[i]
+        if t[2] or t[7] in _CALLS:
+            return self.call(i), i + 1
+        if t[8] == "(":
+            return self.nested(i, i + 1)
+        name = t[7]
+        if name in _EISENSTEIN_NAMES:
+            return EisensteinAtom(_EISENSTEIN_NAMES[name], 1), i + 1
+        if name == "twist":
+            if self.toks[i + 1][8] != "(":
+                self.fail("expected '('", i + 1)
+            e, i = self.nested(i, i + 2)
+            return HalfTwist(_as_node(e)), i
+        if name:
+            self.fail(f"unknown name {name!r}", i)
+        self.fail_unit("expected an expression, found %s", i)
 
-    def parse_factor(self) -> FormExpr | Fraction:
-        base = self.parse_atom()
-        if self.eat_op("^"):
-            n = self.expect_capped_int("exponent", _MAX_EXPONENT)
-            if isinstance(base, Fraction):
-                return base**n
-            return Power(base, n)
-        return base
-
-    def parse_rational(self) -> Fraction:
-        sign = -1 if self.eat_op("-") else 1
-        num = self.expect_int()
-        if self.eat_op("/"):
-            den = self.expect_int()
-            if den == 0:
-                self.fail("zero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
-    def parse_torsion_argument(self, role: str) -> Fraction:
-        """A torsion offset or phase: a rational with denominator 1 or 2."""
-        pos = self.peek()[2]
-        x = self.parse_rational()
-        if x.denominator not in (1, 2):
-            self.fail(f"{role} {x} must have denominator 1 or 2", pos)
-        return x
-
-    def parse_atom(self) -> FormExpr | Fraction:
-        kind, text, pos = self.peek()
-        if kind == "int":
-            return self.parse_rational()
-        if kind == "op" and text == "(":
-            self.i += 1
-            return self.parse_nested(pos)
-        if kind != "name":
-            self.fail(f"expected an expression, found {text!r}" if text else "unexpected end of input")
-        self.i += 1
-        if text in _EISENSTEIN_NAMES:
-            return EisensteinAtom(_EISENSTEIN_NAMES[text], 1)
-        if text == "twist":
-            self.expect_op("(")
-            return HalfTwist(_as_node(self.parse_nested(pos)))
-        if text == "Delta":
-            return self.build(pos, DeltaRef, *self.parse_args(1))
-        if text == "E":
-            w, n, s = self.parse_args(3)
-            # resolved here, so a name with no registered generator fails
-            # at every bound, not only at bounds past its index
-            self.build(pos, _resolve_ref, n, w, s)
-            return GeneratorRef(n, w, s)
-        if text == "Eis":
-            self.expect_op("(")
-            k = self.expect_capped_int("weight", _MAX_WEIGHT)
-            self.expect_op(",")
-            m = self.expect_int()
-            self.expect_op(")")
-            return self.build(pos, EisensteinAtom, k, m)
-        if text == "Phi":
-            return self.build(pos, PhiAtom, *self.parse_args(1))
-        if text == "PhiDiv":
-            return self.build(pos, PhiAtom, *self.parse_args(1), "divisor")
-        if text == "eta":
-            (m,) = self.parse_args(1)
-            return self.build(pos, EtaAtom, ((m, 1),))
-        if text in ("wp", "wpt"):
-            self.expect_op("(")
-            a = self.parse_torsion_argument("offset")
-            self.expect_op(",")
-            b = self.parse_torsion_argument("phase")
-            self.expect_op(",")
-            m = self.expect_int()
-            self.expect_op(")")
-            return self.build(pos, WpAtom if text == "wp" else WptAtom, a, b, m)
-        self.fail(f"unknown name {text!r}", pos)
-
-    def build(self, pos, make, *args):
-        """make(*args) for the atom named at pos.  Its arguments are checked
-        there, so one outside the atom's domain fails at every bound, not
-        only at bounds past the atom's valuation, and the error names pos."""
+    def call(self, i) -> FormExpr:
+        """The atom of the call at token i, its arguments read from the
+        token.  When that fails (a call name on its own, a wrong count, an
+        argument out of range) walk reads them again, and raises."""
+        t = self.toks[i]
+        kinds, make = _CALLS[t[0] or t[2] or t[7]]
+        args = ()
+        try:
+            if t[0]:
+                args = list(map(int, t[1].split(",")))
+            elif t[2]:
+                a, b, m = t[3].split(",")
+                args = [Fraction("".join(a.split())), Fraction("".join(b.split())), int(m)]
+        except (ValueError, ZeroDivisionError):  # too long, or p/0
+            pass
+        if (
+            len(args) != len(kinds)
+            or kinds[0] == "w" and args[0] > _MAX_WEIGHT
+            or kinds[0] == "o" and max(args[0].denominator, args[1].denominator) > 2
+        ):
+            args = self.walk(i, kinds)
+        # the arguments are checked when the atom is made, so one outside
+        # its domain fails at every bound, not only past its valuation
         try:
             return make(*args)
         except (QModularError, ValueError) as exc:
-            self.fail(str(exc), pos)
+            self.fail(str(exc), i)
 
-    def parse_nested(self, pos) -> FormExpr | Fraction:
-        """The expression after an opening '(' at pos, and its ')'."""
+    def walk(self, i, kinds) -> list:
+        """The arguments of the call at token i, read unit by unit as the
+        grammar reads them and each checked when read, so the first that
+        is malformed or out of range raises at its position."""
+        units = [(m[1], m.start(1)) for m in re.compile(_UNIT).finditer(self.src, self.position(i))]
+        units = [("", len(self.src)), *reversed(units[1:])]  # a stack, past the name
+
+        def take(want):
+            """The next unit, which must be want, or an integer for int."""
+            text, pos = units.pop()
+            if want is int and text[:1].isdecimal():
+                return int(text)
+            if text != want:
+                raise ParseError("expected an integer" if want is int else f"expected {want!r}", pos)
+
+        args = []
+        for k, kind in enumerate(kinds):
+            take("," if k else "(")
+            pos = units[-1][1]
+            if kind in "iw":
+                x = take(int)
+                if kind == "w" and x > _MAX_WEIGHT:
+                    raise ParseError(f"weight {x} exceeds the cap {_MAX_WEIGHT}", pos)
+            else:
+                minus = units[-1][0] == "-"
+                if minus:
+                    units.pop()
+                x = Fraction(-take(int) if minus else take(int))
+                if units[-1][0] == "/":
+                    units.pop()
+                    d = take(int)
+                    if not d:
+                        raise ParseError("zero denominator", units[-1][1])
+                    x /= d
+                if x.denominator > 2:
+                    role = "offset" if kind == "o" else "phase"
+                    raise ParseError(f"{role} {x} must have denominator 1 or 2", pos)
+            args.append(x)
+        take(")")
+        return args
+
+    def nested(self, at, i):
+        """The expression at token i, inside the '(' or 'twist(' at token
+        at, and its ')'."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            self.fail(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
-        e = self.parse_sum()
-        self.expect_op(")")
+            self.fail(f"expression nested deeper than {_MAX_DEPTH} levels", at)
+        e, i = self.sum(i)
+        if self.toks[i][8] != ")":
+            self.fail("expected ')'", i)
         self.depth -= 1
-        return e
-
-    def parse_args(self, count: int):
-        self.expect_op("(")
-        out = [self.expect_int()]
-        for _ in range(count - 1):
-            self.expect_op(",")
-            out.append(self.expect_int())
-        self.expect_op(")")
-        return out
+        return e, i + 1
 
 
 def _as_node(e) -> FormExpr:
@@ -317,7 +350,19 @@ def _as_node(e) -> FormExpr:
 
 def parse_expr(src: str) -> FormExpr:
     """Parse the expression grammar into a FormExpr tree."""
-    return _Parser(src).parse()
+    try:
+        return _Parser(src).parse()
+    except ValueError:
+        # only int() raises it here: the first literal it refuses is the
+        # first in the source, since the descent reads left to right
+        for m in re.finditer(_UNIT, src):
+            if m[1][:1].isdecimal():
+                try:
+                    int(m[1])
+                except ValueError:
+                    msg = f"integer literal of {len(m[1])} digits is too long"
+                    raise ParseError(msg, m.start(1)) from None
+        raise
 
 
 # ---------------------------------------------------------------------------

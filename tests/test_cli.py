@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qmodular import cli, identities
 from qmodular.cli import main, parse_expr
-from qmodular.errors import ParseError
+from qmodular.errors import ParseError, QModularError
 from qmodular.expr import (
     DeltaRef,
     EisensteinAtom,
@@ -35,8 +35,10 @@ from qmodular.expr import (
 )
 from qmodular.eta import EtaQuotient
 from qmodular.identities import IdentityCase
-from qmodular.levels import expand_expr
+from qmodular.levels import basis_skeleton, dimension, expand_expr
 from qmodular.qseries import HALF
+
+import parser_oracle
 
 
 def run(*argv):
@@ -118,8 +120,8 @@ def scanned_tokens(src):
             return out
         ch = src[pos]
         j = pos
-        if ch.isdigit():
-            while j < len(src) and src[j].isdigit():
+        if ch.isdecimal():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             tok = ("int", src[pos:j], pos)
         elif ch.isalpha():
@@ -132,10 +134,110 @@ def scanned_tokens(src):
         pos = tok[2] + len(tok[1])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="09aZE_ ()+-*/^,.\t\n\u00b2\u00bd\u00e9\u3000\u0663", max_size=30))
-def test_tokens_match_the_scanning_lexer(src):
-    assert cli._tokenize(src) == scanned_tokens(src)
+def test_parse_errors_for_literals_int_refuses():
+    # digits that are isdigit but not isdecimal, and a literal longer than
+    # int() converts, fail at their position like any other bad token
+    long_literal = "7" * 5000
+    for src, message in [
+        ("Delta(²)", "expected an integer (at position 6)"),
+        ("E4^²", "expected an integer (at position 3)"),
+        (f"{long_literal}*E4", "integer literal of 5000 digits is too long (at position 0)"),
+        (f"E4 + E(4,{long_literal},1)", "integer literal of 5000 digits is too long (at position 9)"),
+        (f"E4^{long_literal}", "integer literal of 5000 digits is too long (at position 3)"),
+        (f"wp(1/{long_literal},0,2)", "integer literal of 5000 digits is too long (at position 5)"),
+    ]:
+        assert run("expand", "--expr", src, "--prec", "3") == (2, "", f"error: {message}\n")
+
+
+# the characters of the mutations: the grammar's, a few it rejects, and
+# non-ASCII digits, letters and spaces
+ALPHABET = "09aZE_ ()+-*/^,.\t\n\u00b2\u00bd\u00e9\u3000\u0663"
+SPACES = [(n, w) for n in range(1, 11) for w in range(2, 25, 2) if dimension(n, w) > 0]
+
+tree_texts = st.builds(
+    lambda rng, w: print_expr(random_tree(rng, w, 3)),
+    st.randoms(use_true_random=False),
+    st.sampled_from([2, 4, 6, 12]),
+)
+
+
+@st.composite
+def request_texts(draw):
+    """A reduce-session request: a space's basis skeleton with random
+    rational coordinates."""
+    skeleton = basis_skeleton(*draw(st.sampled_from(SPACES)))
+    rng = draw(st.randoms(use_true_random=False))
+    coords = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in skeleton]
+    return print_expr(Sum(list(zip(coords, skeleton))))
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text with one character inserted, deleted or replaced."""
+    src = draw(texts)
+    k = draw(st.integers(0, len(src)))
+    ch = draw(st.sampled_from(ALPHABET + "EDeltaisPhiDvtwp"))
+    head, tail = src[:k], src[k + 1 :]
+    return draw(st.sampled_from([head + ch + src[k:], head + tail, head + ch + tail]))
+
+
+# grammar pieces, well-formed or not, to join at random
+PIECES = [
+    "E(4,10,2)", "E( 2 ,7 ,0 )", "E(2,7,9)", "E(-1,2,3)", "E(4,10)", "E(4/2,10,2)",
+    "Delta(3)", "Delta (11)", "Eis(4,5)", "Eis(701,1)", "Eis(4, 1", "Phi(7)", "PhiDiv(1)",
+    "eta(3)", "wp(1/2,0,3)", "wpt( - 1 / 2 , 1/2, 5)", "wp(1/0,0,2)", "wp(1/3,1/0,2)",
+    "wpt(0,1/4,5)", "twist(", "E4", "E6", "3/4", "1/0", "2", "^2", "^ 10001", "^",
+    "+", "-", "*", "/", "(", ")", ",", " ",
+]
+
+
+def parse_outcome(parse, src):
+    try:
+        return parse(src)
+    except QModularError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def check_against_the_oracle(src):
+    """parse_expr(src) against the peek/eat_op parser it replaced: the same
+    node, or on ASCII sources the same error and position.  Elsewhere a
+    letter-like character such as '²' may lex as a name where the oracle
+    saw an operator, so only a positioned ParseError is asked."""
+    assert parser_oracle._tokenize(src) == scanned_tokens(src)
+    expected = parse_outcome(parser_oracle.parse_expr, src)
+    got = parse_outcome(parse_expr, src)
+    if not isinstance(expected, tuple):
+        assert got is expected
+    elif expected[0] is ParseError and not src.isascii():
+        assert got[0] is ParseError and got[2] is not None, got
+    else:
+        assert got == expected, src
+
+
+@pytest.mark.parametrize(
+    "sources, examples",
+    [
+        (st.text(alphabet=ALPHABET, max_size=30), 300),
+        (tree_texts, 100),
+        (request_texts(), 60),
+        (mutated(tree_texts | request_texts()), 100),
+        (st.lists(st.sampled_from(PIECES), max_size=6).map("".join), 150),
+    ],
+    ids=["texts", "trees", "requests", "mutations", "pieces"],
+)
+def test_parse_matches_the_oracle_parser(sources, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(sources)
+    def check(src):
+        check_against_the_oracle(src)
+
+    check()
+
+
+def test_parse_matches_the_oracle_parser_on_piece_pairs():
+    for a in PIECES:
+        for b in PIECES:
+            check_against_the_oracle(a + b)
 
 
 # ---------------------------------------------------------------------------
