@@ -37,8 +37,8 @@ character at a time, so that the error names the first bad unit.
 Scalar factors fold into sum coefficients, so print_expr round-trips
 through this parser for any tree the grammar can produce.  Parentheses and
 twist(...) may nest at most _MAX_DEPTH deep, '^' exponents are at most
-_MAX_EXPONENT, Eis weights at most _MAX_WEIGHT, and --prec is at most
-_MAX_PREC.
+_MAX_EXPONENT, Eis weights at most _MAX_WEIGHT, and --prec, or the
+default precision that stands in for it, is at most _MAX_PREC.
 """
 
 from __future__ import annotations
@@ -392,9 +392,23 @@ def _json_doc(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _prec(args, default=None):
+    """The effective --prec: the one given, else the command's default; the
+    cap applies to either, and its error says which it was."""
+    prec = default if args.prec is None else args.prec
+    if prec is not None and prec > _MAX_PREC:
+        name = "the default precision" if args.prec is None else "--prec"
+        raise InvalidPrecision(f"{name} {prec} exceeds the cap {_MAX_PREC}")
+    return prec
+
+
 def _cmd_expand(args):
     e = parse_expr(args.expr)
-    prec = args.prec if args.prec is not None else math.ceil(val_lower(e)) + 10
+    # the default asks for ten terms past the valuation, however high that
+    # lies, so it is not capped
+    prec = _prec(args)
+    if prec is None:
+        prec = math.ceil(val_lower(e)) + 10
     ser = expand_expr(e, prec)
     if args.format == "json":
         doc = _json_doc(
@@ -416,7 +430,7 @@ def _cmd_expand(args):
 
 def _cmd_basis(args):
     d = dimension(args.level, args.weight)
-    prec = args.prec if args.prec is not None else d + 5
+    prec = _prec(args, d + 5)
     b = basis(args.level, args.weight, prec)
     if args.format == "json":
         return 0, _json_doc(b.to_json())
@@ -464,7 +478,7 @@ def _cmd_reduce(args):
         raise WeightMismatch(
             f"the expression has weight {weight(e)} but --weight is {args.weight}"
         )
-    prec = args.prec if args.prec is not None else d + 6
+    prec = _prec(args, d + 6)
     f = expand_expr(e, prec)
     coords = reduce(f, args.level, args.weight)
     if args.format == "json":
@@ -481,10 +495,11 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
+    prec = _prec(args)
     if args.identity in (None, "all"):
-        reports = identities.check_all(args.prec)
+        reports = identities.check_all(prec)
     else:
-        reports = [identities.check(args.identity, args.prec)]
+        reports = [identities.check(args.identity, prec)]
     ok = all(r.passed for r in reports)
     if args.format == "json":
         doc = _json_doc([r.to_json() for r in reports])
@@ -630,8 +645,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if (getattr(args, "prec", None) or 0) > _MAX_PREC:
-            raise InvalidPrecision(f"--prec {args.prec} exceeds the cap {_MAX_PREC}")
         code, doc = args.run(args)
     except NotInSpan as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -335,9 +335,16 @@ class _ExpansionCache:
     of it computed so far, holding at most `budget` coefficients in all.
 
     An entry answers every request whose bound it reaches, by truncation.
-    The generator registry is the one input that can change under a node
+    find is the one lookup, and only a lookup that answers counts, as a hit;
+    the evaluator counts a miss where it then expands the node itself, and
+    nothing for a ladder probe that finds no rung (see _expand).  The
+    generator registry is the one input that can change under a node
     (GeneratorRef resolves through it), so every entry is dropped when the
-    registry no longer equals the snapshot the entries were made under."""
+    registry no longer equals the snapshot the entries were made under.
+
+    rungs maps each base b to {k: Power(b, k)} over the entries Power(b, k),
+    kept with the entries, so a power finds its cached lower powers without
+    probing every exponent below its own."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -345,6 +352,7 @@ class _ExpansionCache:
 
     def clear(self) -> None:
         self.entries = OrderedDict()
+        self.rungs = {}
         self.size = 0
         self.hits = self.misses = self.evictions = 0
         self.registry = None
@@ -352,15 +360,16 @@ class _ExpansionCache:
     def sync(self, registry) -> None:
         if registry != self.registry:
             self.entries.clear()
+            self.rungs.clear()
             self.size = 0
             self.registry = dict(registry)
 
-    def get(self, e: FormExpr, bound: int):
-        """The entry for e cut below q^(bound/24), or None when it stops short."""
+    def find(self, e: FormExpr, bound: int):
+        """The entry for e cut below q^(bound/24), counted as a hit and made
+        the most recent, or None, counted nowhere, when it stops short."""
         s = self.entries.get(e)
         # s.bound < bound/24
         if s is None or 24 * s.prec < bound * s.den:
-            self.misses += 1
             return None
         self.hits += 1
         self.entries.move_to_end(e)
@@ -368,18 +377,27 @@ class _ExpansionCache:
 
     def put(self, e: FormExpr, s: QSeries) -> None:
         # a shorter entry for e may have been evicted while s was computed
-        old = self.entries.pop(e, None)
-        if old is not None:
-            self.size -= _cost(old)
+        if e in self.entries:
+            self._drop(e, self.entries.pop(e))
         cost = _cost(s)
         if cost > self.budget:
             return
         while self.size + cost > self.budget:
-            _, dropped = self.entries.popitem(last=False)
-            self.size -= _cost(dropped)
+            self._drop(*self.entries.popitem(last=False))
             self.evictions += 1
         self.entries[e] = s
         self.size += cost
+        if type(e) is Power:
+            self.rungs.setdefault(e.base, {})[e.exponent] = e
+
+    def _drop(self, e: FormExpr, s: QSeries) -> None:
+        """Account for the entry (e, s) just taken out of entries."""
+        self.size -= _cost(s)
+        if type(e) is Power:
+            ks = self.rungs[e.base]
+            del ks[e.exponent]
+            if not ks:
+                del self.rungs[e.base]
 
     def info(self) -> ExpandCacheInfo:
         return ExpandCacheInfo(self.hits, self.misses, self.evictions, self.size)
@@ -417,7 +435,17 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     (expr._lower24) it is compared with and moved by, so the recursion does
     its bound arithmetic on ints.  The kernels take an exponent: constants
     and the torsion, Eisenstein and divisor kernels the ceiling of bound/24,
-    the eta quotients and the zero series the exact bound/24."""
+    the eta quotients and the zero series the exact bound/24.
+
+    A power f^n (n >= 3, f not an eta atom) that misses, with the cache on,
+    climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3): with
+    low = _lower24(f) and slack = bound - n*low, the slack rule of products,
+    it takes the largest k in [2, n) whose cached f^k reaches slack + k*low
+    and multiplies it by f^(n-k) (f itself when n - k = 1) expanded through
+    _expand below slack + (n-k)*low, so the product reaches the bound.  Each
+    rung probed is a find: a rung used is a hit and becomes most recent, one
+    missing or too short counts nothing.  With no such rung, or with the
+    cache off, f expanded below slack + low is raised to the n-th power."""
     # nothing below the bound: answer without recursing
     if bound <= _lower24(e):
         return zero_series(Fraction(bound, 24))
@@ -431,8 +459,9 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     # to store
     if cache is None or isinstance(e, Scalar):
         return _expand_node(e, bound, cache)
-    s = cache.get(e, bound)
+    s = cache.find(e, bound)
     if s is None:
+        cache.misses += 1
         s = _expand_node(e, bound, cache)
         cache.put(e, s)
     return s
@@ -475,12 +504,21 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
-        if e.exponent == 0:
+        n, base = e.exponent, e.base
+        if n == 0:
             return constant_series(1, top)
-        if isinstance(e.base, EtaAtom):
+        if isinstance(base, EtaAtom):
             return _expand(_fold_eta((e,))[0], bound, cache)
-        t = _expand(e.base, bound - (e.exponent - 1) * _lower24(e.base), cache)
-        return t.pow(e.exponent)
+        low = _lower24(base)
+        slack = bound - n * low
+        if cache is not None:
+            rungs = cache.rungs.get(base, {})
+            for k in sorted((k for k in rungs if 1 < k < n), reverse=True):
+                s = cache.find(rungs[k], slack + k * low)
+                if s is not None:
+                    rest = base if n - k == 1 else Power(base, n - k)
+                    return s * _expand(rest, slack + (n - k) * low, cache)
+        return _expand(base, slack + low, cache).pow(n)
     raise TypeError(f"not a FormExpr: {e!r}")
 
 

@@ -750,6 +750,26 @@ def test_exit_code_prec_cap(command):
     assert err == f"error: --prec {cap + 1} exceeds the cap {cap}\n"
 
 
+# the defaults d + 5 (basis) and d + 6 (reduce) past the cap, with
+# d = dimension(10, w)
+HIGH_DEFAULTS = [
+    (("basis", "--level", "10", "--weight", "100000"), 150_006),
+    (("reduce", "--expr", "Eis(700,1)^100", "--level", "10", "--weight", "70000"), 105_007),
+]
+
+
+@pytest.mark.parametrize("argv, default", HIGH_DEFAULTS, ids=["basis", "reduce"])
+def test_exit_code_default_prec_cap(argv, default):
+    cap = cli._MAX_PREC
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err == f"error: the default precision {default} exceeds the cap {cap}\n"
+    # an explicit --prec replaces the default, and its own checks answer
+    code, out, err = run(*argv, "--prec", "0")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error:") and "cap" not in err
+
+
 def test_exit_code_unwritable_out(tmp_path):
     target = tmp_path / "missing" / "x"
     code, out, err = run("expand", "--expr", "E4", "--prec", "3", "--out", str(target))

@@ -14,11 +14,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import expr_oracle
-from qmodular import levels
+from qmodular import levels, qseries
 from qmodular.cli import parse_expr
 from qmodular.errors import FractionalExponent
 from qmodular.eta import delta
@@ -399,3 +399,114 @@ def test_int_bounds_match_the_fraction_bound_evaluator(warm, e, b, first):
     else:
         expand_cache_clear()
     assert outcome(expand_expr, e, b) == outcome(expr_oracle.expand_expr, e, b)
+
+
+# ---------------------------------------------------------------------------
+# the power ladder: a power expands from the largest cached power of its base
+# ---------------------------------------------------------------------------
+
+V, W, T, U = WptAtom(HALF, 0, 1), WptAtom(0, HALF, 1), WptAtom(1, 0, 2), WptAtom(0, HALF, 2)
+E270 = GeneratorRef(7, 2, 0)
+# bases of valuation 0, of the half-integral valuation 1/2 (so the slack
+# moves each rung's bound), of integral valuation 1, a sum, and E(2,7,0),
+# which resolves through the registry the test edits
+LADDER_BASES = [
+    V,
+    W,
+    T,
+    U,
+    WptAtom(0, HALF, 5),
+    GeneratorRef(10, 2, 1),
+    Sum([(1, V), (-2, W)]),
+    E270,
+]
+POLY_FORMS = [
+    IDENTITIES[name].rhs
+    for name in ("e4-2tau", "e4-tau-sym", "e6-2tau", "e6-sym", "e8-2tau", "e8-sym", "e10-sym", "e12-sym")
+]
+ladder_powers = st.builds(Power, st.sampled_from(LADDER_BASES), st.integers(1, 9))
+drawn_polys = st.builds(
+    levels._poly,
+    st.sampled_from([V, T]),
+    st.sampled_from([W, U]),
+    st.lists(
+        st.tuples(st.integers(-5, 5).filter(bool), st.integers(0, 7), st.integers(0, 7)),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda t: t[1:],
+    ),
+)
+ladder_exprs = st.one_of(
+    ladder_powers,
+    st.sampled_from(POLY_FORMS),
+    drawn_polys,
+    st.builds(lambda p, q: Product((p, q)), ladder_powers, ladder_powers),
+)
+# integral bounds, and bounds the two grids round apart (1/3, 9/2, 13/3:
+# the cache bypass) or alike (17/3)
+LADDER_BOUNDS = st.one_of(
+    st.integers(0, 40), st.sampled_from([F(1, 3), F(9, 2), F(13, 3), F(17, 3)])
+)
+
+
+def nudged_e270():
+    """The registry row (7, 2) with one coefficient of E(2,7,0) moved: a
+    new series of the same valuation bound 0."""
+    (head,) = levels._REGISTRY[(7, 2)]
+    terms = list(head.terms)
+    terms[0] = (terms[0][0] + F(1, 1000003), terms[0][1])
+    return (Sum(terms),)
+
+
+@pytest.mark.parametrize("budget", [levels._CACHE_BUDGET, 240], ids=["budget", "shrunk"])
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(steps=st.lists(st.tuples(ladder_exprs, LADDER_BOUNDS, st.booleans()), min_size=1, max_size=6))
+# a registry edit under a cached rung; a fractional bound above cached rungs
+@example(steps=[(Power(E270, 3), 20, False), (Power(E270, 5), 20, True), (Power(E270, 4), 20, True)])
+@example(steps=[(Power(V, 3), 20, False), (Power(V, 5), F(13, 3), False), (Power(V, 5), 20, False)])
+@example(steps=[(POLY_FORMS[-1], 30, False), (Power(V, 9), 30, False)])
+def test_power_ladder_matches_the_oracle(budget, steps, monkeypatch):
+    # powers of shared bases, expanded in a drawn order at drawn bounds, each
+    # step also flipping the registry row (7, 2) between its two versions or
+    # not; the shrunk budget evicts rungs while a ladder is climbed
+    monkeypatch.setattr(levels._CACHE, "budget", budget)
+    rows = {False: levels._REGISTRY[(7, 2)], True: nudged_e270()}
+    edited = False
+    expand_cache_clear()
+    expr_oracle.CACHE.clear()
+    try:
+        for e, b, flip in steps:
+            edited ^= flip
+            levels._REGISTRY[(7, 2)] = rows[edited]
+            assert outcome(expand_expr, e, b) == outcome(expr_oracle.expand_expr, e, b), (e, b)
+    finally:
+        levels._REGISTRY[(7, 2)] = rows[False]
+    assert levels._CACHE.size <= budget
+    # the rung index lists exactly the cached powers
+    rungs = {}
+    for x in levels._CACHE.entries:
+        if type(x) is Power:
+            rungs.setdefault(x.base, {})[x.exponent] = x
+    assert levels._CACHE.rungs == rungs
+
+
+def test_a_power_ladder_makes_one_product_per_rung(monkeypatch):
+    want = [oracle(Power(V, n), 400) for n in range(2, 7)]
+    expand_cache_clear()
+    expand_expr(V, 400)
+    squares = []
+    kronecker = qseries._kronecker
+    monkeypatch.setattr(
+        qseries, "_kronecker", lambda a, b, n: squares.append(a is b) or kronecker(a, b, n)
+    )
+    # V^2 squares V; V^3 ... V^6 each multiply the rung below by V
+    assert [expand_expr(Power(V, n), 400) for n in range(2, 7)] == want
+    assert squares == [True, False, False, False, False]
+    hits = expand_cache_info().hits
+    assert expand_expr(Power(V, 9), 400) == oracle(Power(V, 9), 400)
+    # V^9 is V^6 times V^3: the two rungs are hits, V^9 itself the one miss
+    assert expand_cache_info().hits == hits + 2
