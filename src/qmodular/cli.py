@@ -394,7 +394,8 @@ def _json_doc(obj) -> str:
 
 def _prec(args, default=None):
     """The effective --prec: the one given, else the command's default; the
-    cap applies to either, and its error says which it was."""
+    cap applies to either, and its error says which it was.  main checks an
+    explicit --prec first, basis and reduce their default."""
     prec = default if args.prec is None else args.prec
     if prec is not None and prec > _MAX_PREC:
         name = "the default precision" if args.prec is None else "--prec"
@@ -406,9 +407,7 @@ def _cmd_expand(args):
     e = parse_expr(args.expr)
     # the default asks for ten terms past the valuation, however high that
     # lies, so it is not capped
-    prec = _prec(args)
-    if prec is None:
-        prec = math.ceil(val_lower(e)) + 10
+    prec = args.prec if args.prec is not None else math.ceil(val_lower(e)) + 10
     ser = expand_expr(e, prec)
     if args.format == "json":
         doc = _json_doc(
@@ -495,11 +494,10 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
-    prec = _prec(args)
     if args.identity in (None, "all"):
-        reports = identities.check_all(prec)
+        reports = identities.check_all(args.prec)
     else:
-        reports = [identities.check(args.identity, prec)]
+        reports = [identities.check(args.identity, args.prec)]
     ok = all(r.passed for r in reports)
     if args.format == "json":
         doc = _json_doc([r.to_json() for r in reports])
@@ -645,6 +643,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # an explicit --prec past the cap fails before any other input check
+        if hasattr(args, "prec"):
+            _prec(args)
         code, doc = args.run(args)
     except NotInSpan as exc:
         print(f"error: {exc}", file=sys.stderr)

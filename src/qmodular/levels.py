@@ -438,14 +438,17 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     the eta quotients and the zero series the exact bound/24.
 
     A power f^n (n >= 3, f not an eta atom) that misses, with the cache on,
-    climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3): with
-    low = _lower24(f) and slack = bound - n*low, the slack rule of products,
-    it takes the largest k in [2, n) whose cached f^k reaches slack + k*low
+    climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3) where
+    pow would take binary powering; where it would run Miller's recurrence,
+    one pass for any n, a rung saves nothing.  With low = _lower24(f) and
+    slack = bound - n*low, the slack rule of products, it takes the largest
+    k with n/2 <= k < n (and k >= 2) whose cached f^k reaches slack + k*low
     and multiplies it by f^(n-k) (f itself when n - k = 1) expanded through
-    _expand below slack + (n-k)*low, so the product reaches the bound.  Each
-    rung probed is a find: a rung used is a hit and becomes most recent, one
-    missing or too short counts nothing.  With no such rung, or with the
-    cache off, f expanded below slack + low is raised to the n-th power."""
+    _expand below slack + (n-k)*low, so the product reaches the bound.  As
+    k >= n - k, a climb nests at most log2(n) powers deep.  Each rung probed
+    is a find: a rung used is a hit and becomes most recent, one missing or
+    too short counts nothing.  With no such rung, or with the cache off, f
+    expanded below slack + low is raised to the n-th power."""
     # nothing below the bound: answer without recursing
     if bound <= _lower24(e):
         return zero_series(Fraction(bound, 24))
@@ -511,14 +514,18 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
             return _expand(_fold_eta((e,))[0], bound, cache)
         low = _lower24(base)
         slack = bound - n * low
-        if cache is not None:
+        t = _expand(base, slack + low, cache)
+        if cache is not None and t.by_squaring(n):
             rungs = cache.rungs.get(base, {})
-            for k in sorted((k for k in rungs if 1 < k < n), reverse=True):
+            # k >= n - k: the cofactor is at most f^(n/2), so at most
+            # log2(n) powers climb at once
+            for k in sorted((k for k in rungs if 1 < k < n <= 2 * k), reverse=True):
                 s = cache.find(rungs[k], slack + k * low)
                 if s is not None:
-                    rest = base if n - k == 1 else Power(base, n - k)
-                    return s * _expand(rest, slack + (n - k) * low, cache)
-        return _expand(base, slack + low, cache).pow(n)
+                    if n - k > 1:
+                        t = _expand(Power(base, n - k), slack + (n - k) * low, cache)
+                    return s * t
+        return t.pow(n)
     raise TypeError(f"not a FormExpr: {e!r}")
 
 

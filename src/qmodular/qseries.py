@@ -427,8 +427,7 @@ class QSeries:
         t = _stride(f) or size
         f = f[::t]
         short = len(f)
-        steps = n.bit_length() + bin(n).count("1") - 2
-        if n >= 2 and short - f.count(0) > _KRONECKER_MIN * steps:
+        if self.by_squaring(n):
             g = f
             for bit in bin(n)[3:]:
                 g = _kronecker(g, g, short)
@@ -449,6 +448,13 @@ class QSeries:
         return QSeries._make(self.den, n * self.val, g, d, n * self.val + size)
 
     __pow__ = pow
+
+    def by_squaring(self, n: int) -> bool:
+        """Whether pow(n) takes binary powering rather than Miller's
+        recurrence: n >= 2 and more than _KRONECKER_MIN nonzero terms (as
+        many as in the compressed numerators) per Kronecker product."""
+        steps = n.bit_length() + bin(n).count("1") - 2
+        return n >= 2 and len(self.nums) - self.nums.count(0) > _KRONECKER_MIN * steps
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the leading coefficient must be known."""

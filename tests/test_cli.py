@@ -750,6 +750,26 @@ def test_exit_code_prec_cap(command):
     assert err == f"error: --prec {cap + 1} exceeds the cap {cap}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--expr", "E4("),
+        ("basis", "--level", "11", "--weight", "4"),
+        ("reduce", "--expr", "E4", "--level", "1", "--weight", "6"),
+    ],
+    ids=["malformed", "unknown-level", "weight-mismatch"],
+)
+def test_explicit_prec_cap_reported_first(argv):
+    # an explicit --prec past the cap is rejected before the expression,
+    # the level or the weight is looked at
+    cap = cli._MAX_PREC
+    assert run(*argv, "--prec", str(cap + 1)) == (
+        2, "", f"error: --prec {cap + 1} exceeds the cap {cap}\n"
+    )
+    code, out, err = run(*argv, "--prec", "5")
+    assert code == 2 and out == "" and "cap" not in err
+
+
 # the defaults d + 5 (basis) and d + 6 (reduce) past the cap, with
 # d = dimension(10, w)
 HIGH_DEFAULTS = [

@@ -472,8 +472,11 @@ def nudged_e270():
 def test_power_ladder_matches_the_oracle(budget, steps, monkeypatch):
     # powers of shared bases, expanded in a drawn order at drawn bounds, each
     # step also flipping the registry row (7, 2) between its two versions or
-    # not; the shrunk budget evicts rungs while a ladder is climbed
+    # not; the shrunk budget evicts rungs while a ladder is climbed.  Every
+    # power n >= 2 takes binary powering, here and in the oracle, so these
+    # short bases climb the ladder too.
     monkeypatch.setattr(levels._CACHE, "budget", budget)
+    monkeypatch.setattr(qseries.QSeries, "by_squaring", lambda f, n: n >= 2)
     rows = {False: levels._REGISTRY[(7, 2)], True: nudged_e270()}
     edited = False
     expand_cache_clear()
@@ -508,5 +511,34 @@ def test_a_power_ladder_makes_one_product_per_rung(monkeypatch):
     assert squares == [True, False, False, False, False]
     hits = expand_cache_info().hits
     assert expand_expr(Power(V, 9), 400) == oracle(Power(V, 9), 400)
-    # V^9 is V^6 times V^3: the two rungs are hits, V^9 itself the one miss
-    assert expand_cache_info().hits == hits + 2
+    # V^9 is V^6 times V^3: V (which decides pow's kernel) and the two rungs
+    # are hits, V^9 itself the one miss
+    assert expand_cache_info().hits == hits + 3
+
+
+def test_a_short_power_keeps_millers_recurrence(monkeypatch):
+    # below q^10 V is too short for binary powering, so V^3 is one pass of
+    # Miller's recurrence and not the cached V^2 times V
+    want = oracle(Power(V, 3), 10)
+    expand_cache_clear()
+    expand_expr(Power(V, 2), 10)
+    calls = []
+    pow_ = qseries.QSeries.pow
+    monkeypatch.setattr(qseries.QSeries, "pow", lambda f, n: calls.append(n) or pow_(f, n))
+    assert expand_expr(Power(V, 3), 10) == want
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("climbs", [False, True], ids=["kernel", "always"])
+def test_a_low_rung_starts_no_deep_climb(climbs, monkeypatch):
+    # a rung is at least half the power, so with E4^2 cached E4^2000 takes
+    # no rung (f^2 would leave a cofactor climbing 1000 rungs deep, past the
+    # recursion limit), and E4^3999 climbs E4^2000 and then powers E4^1999;
+    # "always" sends every power n >= 2 to binary powering, which the ladder
+    # may climb
+    if climbs:
+        monkeypatch.setattr(qseries.QSeries, "by_squaring", lambda f, n: n >= 2)
+    e4 = parse_expr("E4")
+    expand_cache_clear()
+    for n in (2, 2000, 3999):
+        assert expand_expr(Power(e4, n), 3) == oracle(Power(e4, n), 3)
