@@ -1,4 +1,10 @@
-"""Exact q-expansions of modular forms on Gamma0(N), 1 <= N <= 10."""
+"""Exact q-expansions of modular forms on Gamma0(N), 1 <= N <= 10.
+
+Importing the package loads no dataclasses, typing or json: QSeries is a
+slotted immutable class and the records are named tuples.  The identity
+registry behind check and check_all is built on their first call, not by
+the import.
+"""
 
 from .qseries import QSeries, monomial, zero_series, one_series, sigma_series, inv_sin2
 from .eta import EtaQuotient, delta, level_unit

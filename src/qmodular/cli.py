@@ -44,7 +44,6 @@ default precision that stands in for it, is at most _MAX_PREC.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -384,6 +383,8 @@ def _emit(doc: str, out_path) -> None:
 
 
 def _json_doc(obj) -> str:
+    import json  # only a --format json request pays for it
+
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -27,7 +27,7 @@ the sparse E(q^m) by Miller's recurrence in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import FractionalExponent, UnknownLevel
@@ -79,14 +79,13 @@ def _canonical_factors(factors):
     return tuple(sorted((m, e) for m, e in merged.items() if e != 0))
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(namedtuple("EtaQuotient", "factors")):
     """prod_m eta(m tau)^(e_m), stored as sorted (multiplier, exponent) pairs."""
 
-    factors: tuple
+    __slots__ = ()
 
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", _canonical_factors(factors))
+    def __new__(cls, factors):
+        return super().__new__(cls, _canonical_factors(factors))
 
     @property
     def weight(self) -> Fraction:
@@ -132,15 +131,11 @@ class EtaQuotient:
         ) or "1"
 
 
-@dataclass(frozen=True)
-class LevelUnit:
+class LevelUnit(namedtuple("LevelUnit", "level rho nu quotient")):
     """The distinguished cusp form Delta_N: weight rho, valuation nu, and its
     eta-quotient presentation."""
 
-    level: int
-    rho: int
-    nu: int
-    quotient: EtaQuotient
+    __slots__ = ()
 
 
 def _unit(level, factors) -> LevelUnit:

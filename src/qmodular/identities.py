@@ -7,18 +7,21 @@ against classical Eisenstein series, the two presentations of the level
 series Phi_N -- so a single check exercises disjoint code paths.  check()
 expands both sides to the same bound and reports either PASS or the first
 exponent where they disagree, together with both coefficients.
+
+REGISTRY is built on first use: by names(), check(), check_all(), or a
+read of identities.REGISTRY.  Importing the module (as `import qmodular`
+does) builds none of the 37 identity trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import UnknownIdentity
 from .expr import (
     DeltaRef,
     EisensteinAtom,
-    FormExpr,
     GeneratorRef,
     HalfTwist,
     PhiAtom,
@@ -33,22 +36,17 @@ from .levels import _poly, _sym, expand_expr
 from .qseries import HALF
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    name: str
-    lhs: FormExpr
-    rhs: FormExpr
-    note: str
-    default_prec: int = 200
+IdentityCase = namedtuple("IdentityCase", "name lhs rhs note default_prec", defaults=(200,))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    prec: int
-    first_bad_exponent: Fraction = None
-    lhs_coefficient: Fraction = None
-    rhs_coefficient: Fraction = None
+class IdentityReport(
+    namedtuple(
+        "IdentityReport",
+        "name prec first_bad_exponent lhs_coefficient rhs_coefficient",
+        defaults=(None, None, None),
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -81,7 +79,19 @@ class IdentityReport:
         )
 
 
-REGISTRY: "dict[str, IdentityCase]" = {}
+def __getattr__(name):
+    if name == "REGISTRY":
+        return _registry()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _registry() -> "dict[str, IdentityCase]":
+    """REGISTRY, built by its first caller."""
+    global REGISTRY
+    if "REGISTRY" not in globals():
+        REGISTRY = {}
+        _build()
+    return REGISTRY
 
 
 def _register(name, lhs, rhs, note, default_prec=200):
@@ -343,16 +353,13 @@ def _build():
         )
 
 
-_build()
-
-
 def names():
-    return list(REGISTRY)
+    return list(_registry())
 
 
 def check(name: str, prec=None) -> IdentityReport:
     """Expand both sides of the named identity below the bound and compare."""
-    case = REGISTRY.get(name)
+    case = _registry().get(name)
     if case is None:
         raise UnknownIdentity(f"no identity named {name!r}")
     p = int(prec) if prec is not None else case.default_prec
@@ -369,4 +376,4 @@ def check_all(prec=None):
     """Reports for every registered identity, in registration order.
 
     With prec=None each case runs at its own default bound."""
-    return [check(name, prec) for name in REGISTRY]
+    return [check(name, prec) for name in _registry()]

@@ -35,10 +35,8 @@ _check_unitary, which generator and every basis expansion call.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     EmptySpace,
@@ -318,11 +316,7 @@ def _fold_eta(factors):
 _CACHE_BUDGET = 12_000
 
 
-class ExpandCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    evictions: int
-    coefficients: int
+ExpandCacheInfo = namedtuple("ExpandCacheInfo", "hits misses evictions coefficients")
 
 
 def _cost(s: QSeries) -> int:
@@ -648,20 +642,12 @@ def basis_skeleton(level: int, wt: int):
     return out
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    index: int  # position = valuation
-    label: str
-    expr: FormExpr
-    series: QSeries
+# index is the element's position, which is its valuation
+BasisElement = namedtuple("BasisElement", "index label expr series")
 
 
-@dataclass(frozen=True)
-class BasisSet:
-    level: int
-    weight: int
-    precision: int
-    elements: tuple
+class BasisSet(namedtuple("BasisSet", "level weight precision elements")):
+    __slots__ = ()
 
     def __len__(self):
         return len(self.elements)

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Union
 
 from .errors import (
     FractionalExponent,
@@ -45,7 +43,8 @@ from .errors import (
     UnsupportedTwist,
 )
 
-Rat = Union[int, Fraction]
+# annotations only, never evaluated
+Rat = "int | Fraction"
 
 HALF = Fraction(1, 2)
 
@@ -246,9 +245,8 @@ def _rat(x: int, d: int) -> Rat:
     return x // d if x % d == 0 else Fraction(x, d)
 
 
-@dataclass(frozen=True)
 class QSeries:
-    """One truncated Puiseux series.
+    """One truncated Puiseux series, a slotted immutable value.
 
     den  -- exponent denominator D (1 or 2), minimal for the stored data
     val  -- numerator of the leading exponent; leading exponent is val/den
@@ -257,14 +255,41 @@ class QSeries:
     prec -- numerator of the precision bound: all exponents < prec/den known
 
     A series with no known-nonzero coefficient ("zero so far") has
-    val == prec, nums == () and d == 1.
+    val == prec, nums == () and d == 1.  Two series are equal, and hash
+    alike, when these five fields are; setting or deleting a field raises
+    AttributeError.
     """
 
-    den: int
-    val: int
-    nums: tuple
-    d: int
-    prec: int
+    __slots__ = ("den", "val", "nums", "d", "prec")
+
+    def __init__(self, den: int, val: int, nums: tuple, d: int, prec: int):
+        # the slots' own setters: they pass the __setattr__ that refuses
+        # writes, and cost less than object.__setattr__
+        _SET_DEN(self, den)
+        _SET_VAL(self, val)
+        _SET_NUMS(self, nums)
+        _SET_D(self, d)
+        _SET_PREC(self, prec)
+
+    def _astuple(self) -> tuple:
+        return self.den, self.val, self.nums, self.d, self.prec
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return QSeries, self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QSeries is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QSeries is immutable: cannot delete {name!r}")
 
     # -- construction -----------------------------------------------------
 
@@ -526,6 +551,11 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries[{self.to_text()}]"
+
+
+_SET_DEN, _SET_VAL, _SET_NUMS, _SET_D, _SET_PREC = [
+    vars(QSeries)[name].__set__ for name in QSeries.__slots__
+]
 
 
 def lincomb(terms) -> QSeries:
