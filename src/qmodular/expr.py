@@ -10,23 +10,28 @@ are one object while anything holds them.  Equality stays structural
 (identity is its fast path), and copy and pickle rebuild a node through its
 constructor, so copies are the interned node.  A node's hash is computed
 once, at construction, from its children's; nothing here expands anything --
-expansion lives in levels.expand_expr, which uses the two static queries
-every node supports, each computed on first use from the children's cached
-values and then kept on the node as a plain int in a fixed unit:
+expansion lives in levels.expand_expr, which reads the two facts every node
+keeps as plain ints in a fixed unit:
 
-* the modular weight, cached as twice the weight (_weight2; every weight
-  lies in (1/2)Z, since an eta quotient has weight sum(e)/2);
-* a lower bound on the leading exponent of the expansion, cached as 24
-  times the bound (_lower24; every leading exponent lies in (1/24)Z, since
-  an eta quotient's is sum(m e)/24), exact for atoms and combined in the
-  obvious way (min over sums, sum over products).  It is what makes
-  high-valuation products cheap to expand.
+* the modular weight, kept as twice the weight (_weight; every weight lies
+  in (1/2)Z, since an eta quotient has weight sum(e)/2), or None under a sum
+  that mixes weights;
+* a lower bound on the leading exponent of the expansion, kept as 24 times
+  the bound (_lower; every leading exponent lies in (1/24)Z, since an eta
+  quotient's is sum(m e)/24), exact for atoms and combined in the obvious
+  way (min over sums, sum over products).  It is what makes high-valuation
+  products cheap to expand.
 
-The public weight(e) and val_lower(e) turn these ints into exact Fractions;
-levels and make_sum's weight check work on the ints.
+Each node class states its facts in one rule, its _facts method: an atom
+from its fields, Sum, Product, Power and HalfTwist from their children's
+facts.  Both facts are filled in one pass on first use (FormExpr.__getattr__),
+so building a tree costs nothing for them and every later read is a slot
+read.  A new node fact is one more value of _facts, kept in one more slot.
+The public weight(e) and val_lower(e) turn the ints into exact Fractions.
 
 print_expr renders a tree in the same grammar the CLI parses, so
-parse(print_expr(e)) round-trips for trees made of grammar constructs.
+parse(print_expr(e)) round-trips for trees made of grammar constructs; each
+class gives its printed form in its _print method.
 """
 
 from __future__ import annotations
@@ -81,16 +86,39 @@ def _node(key):
     return node
 
 
+# Weights k whose E_k(tau) prints as the shorthand Ek; the CLI parser reads
+# the same names.
+SHORT_EISENSTEIN_WEIGHTS = (4, 6, 8, 10, 12)
+
+# precedence levels for printing: sums bind loosest, then products, then
+# powers; atoms (including function-call forms) never need parentheses.
+_LVL_SUM, _LVL_PROD, _LVL_POW, _LVL_ATOM = 0, 1, 2, 3
+
+
 class FormExpr:
     """Base of the expression nodes.
 
-    A node holds its fields, its table key and hash, and the cached weight
-    (_weight, in halves) and valuation bound (_lower, in 24ths), ints that
-    stay unset until first asked for.  Subclasses list their fields in
-    _fields, in constructor order."""
+    A node holds its fields, its table key and hash, and its facts: the
+    weight (_weight, in halves, None under a mixed sum) and the valuation
+    bound (_lower, in 24ths).  Subclasses list their fields in _fields, in
+    constructor order, and each concrete class gives
+    * _facts(): (_weight, _lower), from its fields or its children's facts;
+    * _print(): (text, precedence level) in the CLI grammar;
+    and each class with children gives _mixed(), the message naming the
+    first sum under it that mixes weights, depth first."""
 
     __slots__ = ("_key", "_hash", "_weight", "_lower", "__weakref__")
     _fields = ()
+
+    def __getattr__(self, name):
+        # Python asks here only for an attribute it did not find, so a fact
+        # is read here once, while the slots are unset; this fills both
+        if name != "_weight" and name != "_lower":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        w, v = self._facts()
+        object.__setattr__(self, "_weight", w)
+        object.__setattr__(self, "_lower", v)
+        return w if name == "_weight" else v
 
     def __eq__(self, other):
         if self is other:
@@ -124,6 +152,13 @@ class Scalar(FormExpr):
     def __new__(cls, value):
         return _node((cls, _as_fraction(value)))
 
+    def _facts(self):
+        return 0, 0
+
+    def _print(self):
+        v = self.value
+        return str(v), _LVL_ATOM if v >= 0 and v.denominator == 1 else _LVL_SUM
+
 
 class GeneratorRef(FormExpr):
     """Reference to the registered generator E^(index) of the given weight
@@ -141,6 +176,14 @@ class GeneratorRef(FormExpr):
             )
         )
 
+    def _facts(self):
+        # the index alone, never the registry, so an edited registry leaves
+        # no stale bound here (expand_expr checks the bound it reached)
+        return 2 * self.weight, 24 * self.index
+
+    def _print(self):
+        return f"E({self.weight},{self.level},{self.index})", _LVL_ATOM
+
 
 class DeltaRef(FormExpr):
     """The level unit Delta_N (an eta quotient; see the level table)."""
@@ -152,11 +195,19 @@ class DeltaRef(FormExpr):
         level_unit(level)  # raises UnknownLevel
         return _node((cls, level))
 
+    def _facts(self):
+        unit = level_unit(self.level)
+        return 2 * unit.rho, 24 * unit.nu
+
+    def _print(self):
+        return f"Delta({self.level})", _LVL_ATOM
+
 
 class _TorsionAtom(FormExpr):
-    """A torsion value at offset a*tau + b on the m-fold cover.  a, b are
-    rationals with denominator dividing 2, checked against the domain of
-    the subclass's kernel by its _check."""
+    """A torsion value (weight 2) at offset a*tau + b on the m-fold cover.
+    a, b are rationals with denominator dividing 2, checked against the
+    domain of the subclass's kernel by its _check; the subclass prints as
+    its _name."""
 
     __slots__ = _fields = ("a", "b", "m")
 
@@ -164,12 +215,19 @@ class _TorsionAtom(FormExpr):
         m = _int_field("torsion cover m", m)
         return _node((cls, *cls._check(a, b, m), m))
 
+    def _print(self):
+        return f"{self._name}({self.a},{self.b},{self.m})", _LVL_ATOM
+
 
 class WpAtom(_TorsionAtom):
     """Torsion value of the rescaled p-function."""
 
     __slots__ = ()
     _check = staticmethod(_check_wp)
+    _name = "wp"
+
+    def _facts(self):
+        return 4, 0
 
 
 class WptAtom(_TorsionAtom):
@@ -177,6 +235,10 @@ class WptAtom(_TorsionAtom):
 
     __slots__ = ()
     _check = staticmethod(_check_wpt)
+    _name = "wpt"
+
+    def _facts(self):
+        return 4, int(24 * wpt_valuation(self.a, self.b, self.m))
 
 
 class EtaAtom(FormExpr):
@@ -189,6 +251,17 @@ class EtaAtom(FormExpr):
             quotient = EtaQuotient(quotient)
         return _node((cls, quotient))
 
+    def _facts(self):
+        q = self.quotient
+        return int(2 * q.weight), int(24 * q.lead_exponent)
+
+    def _print(self):
+        # the empty quotient and a lone eta(m) are atoms, anything else a
+        # product of powers
+        fs = self.quotient.factors
+        atom = len(fs) < 2 and all(e == 1 for _, e in fs)
+        return str(self.quotient), _LVL_ATOM if atom else _LVL_PROD
+
 
 class EisensteinAtom(FormExpr):
     """The classical Eisenstein series E_k evaluated at m*tau (even k >= 4)."""
@@ -200,6 +273,14 @@ class EisensteinAtom(FormExpr):
         m = _int_field("Eisenstein multiplier m", m)
         _check_eisenstein(k, m)
         return _node((cls, k, m))
+
+    def _facts(self):
+        return 2 * self.k, 0
+
+    def _print(self):
+        if self.m == 1 and self.k in SHORT_EISENSTEIN_WEIGHTS:
+            return f"E{self.k}", _LVL_ATOM
+        return f"Eis({self.k},{self.m})", _LVL_ATOM
 
 
 class PhiAtom(FormExpr):
@@ -217,6 +298,13 @@ class PhiAtom(FormExpr):
             raise ValueError(f"unknown Phi mode {mode!r}")
         return _node((cls, level, mode))
 
+    def _facts(self):
+        return 4, 0
+
+    def _print(self):
+        name = "Phi" if self.mode == "weierstrass" else "PhiDiv"
+        return f"{name}({self.level})", _LVL_ATOM
+
 
 class Sum(FormExpr):
     """Linear combination: a nonempty tuple of (coefficient, expression)
@@ -233,6 +321,28 @@ class Sum(FormExpr):
                 raise TypeError(f"sum term {e!r} is not a FormExpr")
         return _node((cls, items))
 
+    def _facts(self):
+        # one weight, or None when the terms differ or one of them is None
+        ws = {f._weight for _, f in self.terms}
+        return ws.pop() if len(ws) == 1 else None, min(f._lower for _, f in self.terms)
+
+    def _mixed(self):
+        ws = [f._weight for _, f in self.terms]
+        if None in ws:
+            return self.terms[ws.index(None)][1]._mixed()
+        x = next(x for x in ws if x != ws[0])
+        return f"sum mixes weights {Fraction(ws[0], 2)} and {Fraction(x, 2)}"
+
+    def _print(self):
+        out = []
+        for c, f in self.terms:
+            out += [" - " if c < 0 else " + ", _term_str(abs(c), f)]
+        out[0] = "-" if out[0] == " - " else ""
+        s = "".join(out)
+        # a leading minus binds like a sum, as a negative Scalar's does:
+        # inside a sum term or after a coefficient it needs parentheses
+        return s, _LVL_SUM if len(self.terms) > 1 or s.startswith("-") else _LVL_PROD
+
 
 class Product(FormExpr):
     """Product of a nonempty tuple of factors (weights add)."""
@@ -248,6 +358,16 @@ class Product(FormExpr):
                 raise TypeError(f"product factor {e!r} is not a FormExpr")
         return _node((cls, items))
 
+    def _facts(self):
+        ws = [f._weight for f in self.factors]
+        return None if None in ws else sum(ws), sum(f._lower for f in self.factors)
+
+    def _mixed(self):
+        return next(f for f in self.factors if f._weight is None)._mixed()
+
+    def _print(self):
+        return "*".join(_render(f, _LVL_POW) for f in self.factors), _LVL_PROD
+
 
 class Power(FormExpr):
     """Nonnegative integer power of a base expression."""
@@ -260,6 +380,16 @@ class Power(FormExpr):
         if not isinstance(base, FormExpr):
             raise TypeError(f"power base {base!r} is not a FormExpr")
         return _node((cls, base, exponent))
+
+    def _facts(self):
+        w, n = self.base._weight, self.exponent
+        return None if w is None else w * n, self.base._lower * n
+
+    def _mixed(self):
+        return self.base._mixed()
+
+    def _print(self):
+        return f"{_render(self.base, _LVL_ATOM)}^{self.exponent}", _LVL_POW
 
 
 class HalfTwist(FormExpr):
@@ -274,6 +404,15 @@ class HalfTwist(FormExpr):
             raise TypeError(f"twisted expression {child!r} is not a FormExpr")
         return _node((cls, child))
 
+    def _facts(self):
+        return self.child._weight, self.child._lower
+
+    def _mixed(self):
+        return self.child._mixed()
+
+    def _print(self):
+        return f"twist({self.child._print()[0]})", _LVL_ATOM
+
 
 # ---------------------------------------------------------------------------
 # static queries
@@ -283,9 +422,12 @@ class HalfTwist(FormExpr):
 def weight(e: FormExpr) -> Fraction:
     """Modular weight of the expression, as an exact Fraction.
 
-    Raises WeightMismatch if a Sum mixes weights, on every call: a failure
-    is not cached."""
-    return Fraction(_weight2(e), 2)
+    Raises WeightMismatch, naming the first sum that mixes weights, if one
+    does; on every call, since a mixed tree keeps no weight."""
+    w = e._weight
+    if w is None:
+        raise WeightMismatch(e._mixed())
+    return Fraction(w, 2)
 
 
 def val_lower(e: FormExpr) -> Fraction:
@@ -295,74 +437,7 @@ def val_lower(e: FormExpr) -> Fraction:
     Exact for every atom; for composites it is the natural combination
     (min over sum terms, sum over product factors), which stays a sound
     bound even when cancellation raises the true valuation."""
-    return Fraction(_lower24(e), 24)
-
-
-def _weight2(e: FormExpr) -> int:
-    """Twice the weight of e, computed once per node and kept in _weight."""
-    try:
-        return e._weight
-    except AttributeError:
-        pass
-    if isinstance(e, Scalar):
-        w = 0
-    elif isinstance(e, GeneratorRef):
-        w = 2 * e.weight
-    elif isinstance(e, DeltaRef):
-        w = 2 * level_unit(e.level).rho
-    elif isinstance(e, (_TorsionAtom, PhiAtom)):
-        w = 4
-    elif isinstance(e, EtaAtom):
-        w = int(2 * e.quotient.weight)
-    elif isinstance(e, EisensteinAtom):
-        w = 2 * e.k
-    elif isinstance(e, HalfTwist):
-        w = _weight2(e.child)
-    elif isinstance(e, Sum):
-        w, *rest = [_weight2(f) for _, f in e.terms]
-        for x in rest:
-            if x != w:
-                raise WeightMismatch(f"sum mixes weights {Fraction(w, 2)} and {Fraction(x, 2)}")
-    elif isinstance(e, Product):
-        w = sum(_weight2(f) for f in e.factors)
-    elif isinstance(e, Power):
-        w = _weight2(e.base) * e.exponent
-    else:
-        raise TypeError(f"not a FormExpr: {e!r}")
-    object.__setattr__(e, "_weight", w)
-    return w
-
-
-def _lower24(e: FormExpr) -> int:
-    """24 times val_lower(e), computed once per node and kept in _lower."""
-    try:
-        return e._lower
-    except AttributeError:
-        pass
-    if isinstance(e, (Scalar, WpAtom, EisensteinAtom, PhiAtom)):
-        v = 0
-    elif isinstance(e, WptAtom):
-        v = int(24 * wpt_valuation(e.a, e.b, e.m))
-    elif isinstance(e, EtaAtom):
-        v = int(24 * e.quotient.lead_exponent)
-    elif isinstance(e, DeltaRef):
-        v = 24 * level_unit(e.level).nu
-    elif isinstance(e, GeneratorRef):
-        # the index alone, never the registry, so an edited registry leaves
-        # no stale bound here (expand_expr checks the bound it reached)
-        v = 24 * e.index
-    elif isinstance(e, HalfTwist):
-        v = _lower24(e.child)
-    elif isinstance(e, Sum):
-        v = min(_lower24(f) for _, f in e.terms)
-    elif isinstance(e, Product):
-        v = sum(_lower24(f) for f in e.factors)
-    elif isinstance(e, Power):
-        v = _lower24(e.base) * e.exponent
-    else:
-        raise TypeError(f"not a FormExpr: {e!r}")
-    object.__setattr__(e, "_lower", v)
-    return v
+    return Fraction(e._lower, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +451,7 @@ def make_sum(terms) -> FormExpr:
     ValueError."""
     items = list(terms)
     s = items[0][1] if len(items) == 1 and items[0][0] == 1 else Sum(items)
-    _weight2(s)  # raises WeightMismatch on mixed weights
+    weight(s)  # raises WeightMismatch on mixed weights
     return s
 
 
@@ -401,39 +476,10 @@ def make_power(base: FormExpr, n: int) -> FormExpr:
 # rendering
 # ---------------------------------------------------------------------------
 
-# Weights k whose E_k(tau) prints as the shorthand Ek; the CLI parser reads
-# the same names.
-SHORT_EISENSTEIN_WEIGHTS = (4, 6, 8, 10, 12)
-
-# precedence levels for printing: sums bind loosest, then products, then
-# powers; atoms (including function-call forms) never need parentheses.
-_LVL_SUM, _LVL_PROD, _LVL_POW, _LVL_ATOM = 0, 1, 2, 3
-
-
-def _level_of(e: FormExpr) -> int:
-    if isinstance(e, Sum):
-        return _LVL_SUM if len(e.terms) > 1 else _LVL_PROD
-    if isinstance(e, Product):
-        return _LVL_PROD
-    if isinstance(e, Power):
-        return _LVL_POW
-    if isinstance(e, Scalar):
-        return _LVL_ATOM if e.value >= 0 and e.value.denominator == 1 else _LVL_SUM
-    if isinstance(e, EtaAtom):
-        n = len(e.quotient.factors)
-        if n == 0:
-            return _LVL_ATOM
-        if n == 1 and e.quotient.factors[0][1] == 1:
-            return _LVL_ATOM
-        return _LVL_PROD
-    return _LVL_ATOM
-
 
 def _render(e: FormExpr, need: int) -> str:
-    s = _to_str(e)
-    if _level_of(e) < need:
-        return f"({s})"
-    return s
+    s, level = e._print()
+    return f"({s})" if level < need else s
 
 
 def _term_str(c: Fraction, f: FormExpr) -> str:
@@ -446,47 +492,6 @@ def _term_str(c: Fraction, f: FormExpr) -> str:
     return f"{c}*{_render(f, _LVL_PROD)}"
 
 
-def _to_str(e: FormExpr) -> str:
-    if isinstance(e, Scalar):
-        return str(e.value)
-    if isinstance(e, GeneratorRef):
-        return f"E({e.weight},{e.level},{e.index})"
-    if isinstance(e, DeltaRef):
-        return f"Delta({e.level})"
-    if isinstance(e, WpAtom):
-        return f"wp({e.a},{e.b},{e.m})"
-    if isinstance(e, WptAtom):
-        return f"wpt({e.a},{e.b},{e.m})"
-    if isinstance(e, EtaAtom):
-        return str(e.quotient)
-    if isinstance(e, EisensteinAtom):
-        if e.m == 1 and e.k in SHORT_EISENSTEIN_WEIGHTS:
-            return f"E{e.k}"
-        return f"Eis({e.k},{e.m})"
-    if isinstance(e, PhiAtom):
-        return f"Phi({e.level})" if e.mode == "weierstrass" else f"PhiDiv({e.level})"
-    if isinstance(e, HalfTwist):
-        return f"twist({_to_str(e.child)})"
-    if isinstance(e, Power):
-        return f"{_render(e.base, _LVL_ATOM)}^{e.exponent}"
-    if isinstance(e, Product):
-        return "*".join(_render(f, _LVL_POW) for f in e.factors)
-    if isinstance(e, Sum):
-        out = []
-        for i, (c, f) in enumerate(e.terms):
-            if i == 0:
-                if c < 0:
-                    out.append("-" + _term_str(-c, f))
-                else:
-                    out.append(_term_str(c, f))
-            elif c < 0:
-                out.append(" - " + _term_str(-c, f))
-            else:
-                out.append(" + " + _term_str(c, f))
-        return "".join(out)
-    raise TypeError(f"not a FormExpr: {e!r}")
-
-
 def print_expr(e: FormExpr) -> str:
     """Render e in the CLI expression grammar."""
-    return _to_str(e)
+    return e._print()[0]

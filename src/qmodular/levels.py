@@ -62,7 +62,6 @@ from .expr import (
     Sum,
     WpAtom,
     WptAtom,
-    _lower24,
     make_power,
     make_product,
     print_expr,
@@ -426,7 +425,7 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     """The expansion of e below q^(bound/24).
 
     The bound is an int in units of 1/24, as are the valuation bounds
-    (expr._lower24) it is compared with and moved by, so the recursion does
+    (FormExpr._lower) it is compared with and moved by, so the recursion does
     its bound arithmetic on ints.  The kernels take an exponent: constants
     and the torsion, Eisenstein and divisor kernels the ceiling of bound/24,
     the eta quotients and the zero series the exact bound/24.
@@ -434,7 +433,7 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     A power f^n (n >= 3, f not an eta atom) that misses, with the cache on,
     climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3) where
     pow would take binary powering; where it would run Miller's recurrence,
-    one pass for any n, a rung saves nothing.  With low = _lower24(f) and
+    one pass for any n, a rung saves nothing.  With low = f._lower and
     slack = bound - n*low, the slack rule of products, it takes the largest
     k with n/2 <= k < n (and k >= 2) whose cached f^k reaches slack + k*low
     and multiplies it by f^(n-k) (f itself when n - k = 1) expanded through
@@ -444,7 +443,7 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     too short counts nothing.  With no such rung, or with the cache off, f
     expanded below slack + low is raised to the n-th power."""
     # nothing below the bound: answer without recursing
-    if bound <= _lower24(e):
+    if bound <= e._lower:
         return zero_series(Fraction(bound, 24))
     # a reference is expanded as the expression it stands for, which is
     # cached under its own node, so it is not stored a second time
@@ -494,10 +493,10 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
         if len(factors) == 1:
             return _expand(factors[0], bound, cache)
         # folding keeps the product's bound: the valuation bound is additive
-        slack = bound - _lower24(e)
+        slack = bound - e._lower
         acc = None
         for f in factors:
-            t = _expand(f, slack + _lower24(f), cache)
+            t = _expand(f, slack + f._lower, cache)
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
@@ -506,7 +505,7 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
             return constant_series(1, top)
         if isinstance(base, EtaAtom):
             return _expand(_fold_eta((e,))[0], bound, cache)
-        low = _lower24(base)
+        low = base._lower
         slack = bound - n * low
         t = _expand(base, slack + low, cache)
         if cache is not None and t.by_squaring(n):

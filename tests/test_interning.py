@@ -76,7 +76,16 @@ def test_random_trees_match_the_oracle(rng, w, depth):
 
 
 def test_equal_parses_are_one_node():
-    for src in ["E(2,7,0)^3 + 3/2*E(6,7,3)", "wp(1/2,0,2)*Delta(4) - 7*wpt(0,1/2,5)^2", "E4^2*E6"]:
+    for src in [
+        "E(2,7,0)^3 + 3/2*E(6,7,3)",
+        "wp(1/2,0,2)*Delta(4) - 7*wpt(0,1/2,5)^2",
+        "E4^2*E6",
+        # a one-term sum with a negative coefficient prints in parentheses
+        # inside a sum term or after a coefficient
+        "2*(-3*E4)",
+        "E4 + (-E4)",
+        "E4 - (-3*E4)",
+    ]:
         assert parse_expr(src) is parse_expr(src)
         assert parse_expr(src) is parse_expr(print_expr(parse_expr(src)))
 

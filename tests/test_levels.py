@@ -100,7 +100,7 @@ def test_node_weights():
 
 def test_mixed_weight_sum_rejected():
     bad = Sum(((Fraction(1), WpAtom(1, 0, 2)), (Fraction(1), DeltaRef(2))))
-    # every call raises: a failed weight is not cached on the node
+    # every call raises: a tree with a mixed sum keeps no weight
     for _ in range(2):
         with pytest.raises(WeightMismatch):
             weight(bad)
@@ -109,6 +109,33 @@ def test_mixed_weight_sum_rejected():
         with pytest.raises(WeightMismatch):
             parse_expr("wp(1,0,2) + Delta(2)")
     assert val_lower(bad) == 0
+    # a mixed sum under a product, a power, a twist or a sum term: the
+    # whole tree has no weight, and the message names the first mixed sum
+    # depth first, as the oracle's does; the valuation bound and the
+    # expansion still answer
+    e4, e6 = EisensteinAtom(4), EisensteinAtom(6)
+    mixed = Sum(((1, e6), (1, e4)))
+    nested = [
+        Sum(((1, Product((e4, mixed))), (1, e6))),  # E4*(E6 + E4) + E6
+        Product((e4, mixed)),
+        Power(mixed, 3),
+        HalfTwist(mixed),
+        Sum(((1, e6), (2, mixed))),
+        Sum(((1, Sum(((1, e4), (1, e6)))), (1, mixed))),
+    ]
+    for e in nested:
+        with pytest.raises(WeightMismatch) as want:
+            oracle.weight(e)
+        for _ in range(2):
+            with pytest.raises(WeightMismatch) as got:
+                weight(e)
+            assert str(got.value) == str(want.value), print_expr(e)
+        assert val_lower(e) == oracle.val_lower(e)
+        assert expand_expr(e, 3) == oracle.expand_expr(e, 3), print_expr(e)
+    with pytest.raises(WeightMismatch, match="^sum mixes weights 6 and 4$"):
+        weight(nested[0])
+    with pytest.raises(WeightMismatch, match="^sum mixes weights 4 and 6$"):
+        weight(nested[-1])
 
 
 def test_valuation_floors():
