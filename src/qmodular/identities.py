@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import UnknownIdentity
+from .errors import InsufficientPrecision, UnknownIdentity
 from .expr import (
     DeltaRef,
     EisensteinAtom,
@@ -358,11 +358,14 @@ def names():
 
 
 def check(name: str, prec=None) -> IdentityReport:
-    """Expand both sides of the named identity below the bound and compare."""
+    """Expand both sides of the named identity below the bound and compare;
+    a bound of 0, which compares nothing, is InsufficientPrecision."""
     case = _registry().get(name)
     if case is None:
         raise UnknownIdentity(f"no identity named {name!r}")
     p = int(prec) if prec is not None else case.default_prec
+    if p == 0:
+        raise InsufficientPrecision("a bound of q^0 compares no coefficient")
     lhs = expand_expr(case.lhs, p)
     rhs = expand_expr(case.rhs, p)
     diff = lhs - rhs

@@ -334,10 +334,8 @@ class _ExpansionCache:
     generator registry is the one input that can change under a node
     (GeneratorRef resolves through it), so every entry is dropped when the
     registry no longer equals the snapshot the entries were made under.
-
-    rungs maps each base b to {k: Power(b, k)} over the entries Power(b, k),
-    kept with the entries, so a power finds its cached lower powers without
-    probing every exponent below its own."""
+    The power ladder of _expand reads its rungs, the cached powers of a
+    base, from the entries themselves."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -345,7 +343,6 @@ class _ExpansionCache:
 
     def clear(self) -> None:
         self.entries = OrderedDict()
-        self.rungs = {}
         self.size = 0
         self.hits = self.misses = self.evictions = 0
         self.registry = None
@@ -353,7 +350,6 @@ class _ExpansionCache:
     def sync(self, registry) -> None:
         if registry != self.registry:
             self.entries.clear()
-            self.rungs.clear()
             self.size = 0
             self.registry = dict(registry)
 
@@ -371,26 +367,15 @@ class _ExpansionCache:
     def put(self, e: FormExpr, s: QSeries) -> None:
         # a shorter entry for e may have been evicted while s was computed
         if e in self.entries:
-            self._drop(e, self.entries.pop(e))
+            self.size -= _cost(self.entries.pop(e))
         cost = _cost(s)
         if cost > self.budget:
             return
         while self.size + cost > self.budget:
-            self._drop(*self.entries.popitem(last=False))
+            self.size -= _cost(self.entries.popitem(last=False)[1])
             self.evictions += 1
         self.entries[e] = s
         self.size += cost
-        if type(e) is Power:
-            self.rungs.setdefault(e.base, {})[e.exponent] = e
-
-    def _drop(self, e: FormExpr, s: QSeries) -> None:
-        """Account for the entry (e, s) just taken out of entries."""
-        self.size -= _cost(s)
-        if type(e) is Power:
-            ks = self.rungs[e.base]
-            del ks[e.exponent]
-            if not ks:
-                del self.rungs[e.base]
 
     def info(self) -> ExpandCacheInfo:
         return ExpandCacheInfo(self.hits, self.misses, self.evictions, self.size)
@@ -435,13 +420,14 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     pow would take binary powering; where it would run Miller's recurrence,
     one pass for any n, a rung saves nothing.  With low = f._lower and
     slack = bound - n*low, the slack rule of products, it takes the largest
-    k with n/2 <= k < n (and k >= 2) whose cached f^k reaches slack + k*low
-    and multiplies it by f^(n-k) (f itself when n - k = 1) expanded through
-    _expand below slack + (n-k)*low, so the product reaches the bound.  As
-    k >= n - k, a climb nests at most log2(n) powers deep.  Each rung probed
-    is a find: a rung used is a hit and becomes most recent, one missing or
-    too short counts nothing.  With no such rung, or with the cache off, f
-    expanded below slack + low is raised to the n-th power."""
+    k with n/2 <= k < n (and k >= 2) whose f^k, an entry of the cache,
+    reaches slack + k*low and multiplies it by f^(n-k) (f itself when
+    n - k = 1) expanded through _expand below slack + (n-k)*low, so the
+    product reaches the bound.  As k >= n - k, a climb nests at most
+    log2(n) powers deep.  Each rung probed is a find: a rung used is a hit
+    and becomes most recent, one missing or too short counts nothing.  With
+    no such rung, or with the cache off, f expanded below slack + low is
+    raised to the n-th power."""
     # nothing below the bound: answer without recursing
     if bound <= e._lower:
         return zero_series(Fraction(bound, 24))
@@ -509,11 +495,12 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
         slack = bound - n * low
         t = _expand(base, slack + low, cache)
         if cache is not None and t.by_squaring(n):
-            rungs = cache.rungs.get(base, {})
-            # k >= n - k: the cofactor is at most f^(n/2), so at most
-            # log2(n) powers climb at once
-            for k in sorted((k for k in rungs if 1 < k < n <= 2 * k), reverse=True):
-                s = cache.find(rungs[k], slack + k * low)
+            # the rungs are the cached powers of the base; k >= n - k: the
+            # cofactor is at most f^(n/2), so at most log2(n) powers climb at
+            # once
+            ks = (x.exponent for x in cache.entries if type(x) is Power and x.base == base)
+            for k in sorted((k for k in ks if 1 < k < n <= 2 * k), reverse=True):
+                s = cache.find(Power(base, k), slack + k * low)
                 if s is not None:
                     if n - k > 1:
                         t = _expand(Power(base, n - k), slack + (n - k) * low, cache)

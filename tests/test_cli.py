@@ -94,6 +94,8 @@ def test_parse_errors_carry_positions():
         "E4 E6": 3,
         "1/0": 3,
         "wp(1,0": 6,
+        "twist": 5,
+        "twist + E4": 6,
     }
     for src, pos in cases.items():
         with pytest.raises(ParseError) as exc:
@@ -412,6 +414,15 @@ def test_verify_command():
     assert len(out.splitlines()) == len(identities.names())
 
 
+@pytest.mark.parametrize("argv", [(), ("--identity", "mod1")], ids=["all", "one"])
+def test_verify_below_q0_is_an_error(argv):
+    # a bound of 0 compares no coefficient, so it cannot pass
+    assert run("verify", *argv, "--prec", "0") == (
+        2, "", "error: a bound of q^0 compares no coefficient\n"
+    )
+    assert run("verify", *argv, "--prec", "-1") == (2, "", "error: negative bound -1\n")
+
+
 def test_bench_command():
     code, out, err = run("bench")
     assert code == 0
@@ -419,6 +430,15 @@ def test_bench_command():
     assert out.splitlines()[-1] == "verified"
     assert "q^2018" in out and "81359425707034726336q^2027" in out
     assert err.startswith("bench: expanded below q^2028 in")
+
+
+def test_bench_json():
+    code, out, _ = run("bench", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "pass" and doc["precision"] == 2028
+    assert doc["expr"] == "E(4,10,2)*E(2,10,0)^335*Delta(10)^336"
+    assert doc["terms"][:3] == [["2018", "1"], ["2019", "-672"], ["2020", "226131"]]
+    assert len(doc["terms"]) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +513,19 @@ def test_dims_json():
         "level": 7,
         "dims": {"2": 1, "4": 3, "6": 5, "8": 5, "10": 7, "12": 9, "14": 9, "16": 11},
     }
+    code, out, _ = run("dims", "--level", "3", "--weight", "4", "--format", "json")
+    assert code == 0 and json.loads(out) == {"level": 3, "weight": 4, "dimension": 2}
+
+
+def test_dims_weight_needs_a_level():
+    assert run("dims", "--weight", "4") == (2, "", "error: --weight without --level: pick a level\n")
+
+
+@pytest.mark.parametrize("src, terms", [("2 + 3", [["0", "5"]]), ("1/2", [["0", "1/2"]])])
+def test_expand_json_prints_a_constant(src, terms):
+    code, out, _ = run("expand", "--expr", src, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"expr": src, "weight": "0", "precision": "10", "terms": terms}
 
 
 def test_verify_json():
@@ -604,6 +637,7 @@ def test_every_unsupported_level_has_one_message(argv, position):
         ("wpt(5,0,2)", "offset 5 outside [-1, 1] (at position 0)"),
         ("wpt(-2,0,3)", "offset -2 outside [-3/2, 3/2] (at position 0)"),
         ("wp(1/3,0,2)", "offset 1/3 must have denominator 1 or 2 (at position 3)"),
+        ("wp(-1/3,0,2)", "offset -1/3 must have denominator 1 or 2 (at position 3)"),
         ("wp(1/2,1/3,2)", "phase 1/3 must have denominator 1 or 2 (at position 7)"),
     ],
 )

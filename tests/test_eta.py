@@ -76,6 +76,8 @@ def test_euler_function_matches_naive():
     f = euler_function(60)
     naive = naive_euler_product(1, 60)
     assert [Fraction(f.coefficient(i)) for i in range(60)] == naive
+    # a negative bound is an empty window
+    assert euler_function(-2) == euler_function(0) == QSeries.build(1, 0, [], 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
@@ -103,6 +105,20 @@ def test_euler_product_allocates_only_below_the_bound():
 # ---------------------------------------------------------------------------
 # quotient container
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: euler_product(0, 5), ValueError, "positive integer"),
+        (lambda: EtaQuotient([(1, 1.0)]), TypeError, "pairs of ints"),
+        (lambda: EtaQuotient([(0, 1)]), ValueError, "multiplier must be >= 1, got 0"),
+    ],
+    ids=["euler_product", "non-int", "multiplier"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_factors_are_merged_sorted_and_pruned():
@@ -298,6 +314,7 @@ def test_a_quotient_with_no_factors_expands_to_one():
         f = quotient.expand(bound)
         assert fields(f) == fields(per_factor_expand(quotient, bound)), bound
     assert quotient.expand(5).to_text() == "1 + O(q^5)"
+    assert str(quotient) == "1"
     assert quotient.expand(Fraction(5, 2)) == one_series(3)
     assert quotient.expand(0).is_zero
 

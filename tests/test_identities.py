@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmodular import identities, levels
-from qmodular.errors import UnknownIdentity
+from qmodular.errors import InsufficientPrecision, InvalidPrecision, UnknownIdentity
 from qmodular.expr import GeneratorRef, Sum
 from qmodular.identities import REGISTRY, IdentityCase, check, check_all, names
 
@@ -106,6 +106,17 @@ def test_report_shape_on_pass():
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         check("no-such-identity", 10)
+
+
+def test_a_bound_that_compares_nothing_is_refused():
+    # below q^0 no coefficient is compared, so no report can pass
+    with pytest.raises(InsufficientPrecision, match="compares no coefficient"):
+        check("mod1", 0)
+    with pytest.raises(InsufficientPrecision):
+        check_all(0)
+    with pytest.raises(InvalidPrecision, match="negative bound -1"):
+        check("mod1", -1)
+    assert check("mod1", 1).passed
 
 
 def test_failure_reports_first_bad_exponent(monkeypatch):

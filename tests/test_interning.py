@@ -210,6 +210,16 @@ def test_empty_sums_and_products_fail_when_built(make, empty):
         make(empty)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda x: Sum([(1, x)]), lambda x: Product([DeltaRef(2), x]), lambda x: Power(x, 2), HalfTwist],
+    ids=["Sum", "Product", "Power", "HalfTwist"],
+)
+def test_a_child_that_is_not_a_node_is_rejected(make):
+    with pytest.raises(TypeError, match="^.* 4 is not a FormExpr$"):
+        make(4)
+
+
 @pytest.mark.parametrize("exponent", [True, False, 2.0, Fraction(2), -1])
 def test_power_exponent_rejects_non_ints(exponent):
     with pytest.raises(ValueError):

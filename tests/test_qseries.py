@@ -711,3 +711,33 @@ def test_rendering_examples():
     assert zero_series(6).to_text() == "O(q^6)"
     g = monomial(-16, 1, 2, 2)
     assert g.to_text() == "-16q^(1/2) + O(q^2)"
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: QSeries.build(3, 0, [1], 1), ValueError, "denominator must be 1 or 2"),
+        (lambda: QSeries.build(1, 0, [1, 2], 1), ValueError, r"2 coefficients for the window \[0, 1\)"),
+        (lambda: one_series(3).shift("1/3"), FractionalExponent, "shift exponent 1/3"),
+        (lambda: one_series(3).substitute_power(0), ValueError, "positive integer"),
+        (lambda: sigma_series(-1, 1, 5), ValueError, "sigma_series needs"),
+        (lambda: sigma_series(1, 0, 5), ValueError, "sigma_series needs"),
+        (lambda: sigma_series(1, 1, -1), ValueError, "sigma_series needs"),
+        (lambda: inv_sin2(Fraction(1, 3), 0, 5), FractionalExponent, "frequency 1/3"),
+        (lambda: inv_sin2(1, 0, -1), InvalidPrecision, "negative bound -1"),
+        (lambda: bernoulli(-1), ValueError, "nonnegative"),
+        (lambda: qseries._as_fraction(1.5), TypeError, "expected a rational, got float"),
+    ],
+    ids=[
+        "build-den", "build-window", "shift", "substitute", "sigma-k", "sigma-m",
+        "sigma-prec", "inv_sin2-frequency", "inv_sin2-bound", "bernoulli", "as_fraction",
+    ],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
