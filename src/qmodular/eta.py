@@ -5,23 +5,26 @@ prod_m eta(m tau)^(e_m) is a rational-exponent prefactor times an integer-
 grid power series.  Only quotients whose prefactor exponent lands in (1/2)Z
 can be represented here; anything else raises FractionalExponent.
 
-The Euler product E(q) = prod (1 - q^n) is generated from its pentagonal-
-number expansion (exponents k(3k-1)/2); the test suite checks it against
-naive term-by-term binomial products.  With g the gcd of the exponents, a
-quotient prod_m E(q^m)^(e_m) is the g-th power of the narrow quotient
-prod_m E(q^m)^(e_m / g): its positive factors are powered and multiplied,
-the product is divided by E(q^m) once per unit of each negative e_m / g,
-and QSeries.pow raises the result to the g-th power.  No Euler factor is
-inverted on its own, so the coefficients of every intermediate stay about
-as wide as the output's (below q^1000, E(q)^-8 has coefficients 270 bits
-wider than Delta_2 = E(q)^-8 E(q^2)^16 has).  Below q^n, E(q^m) is a series
-in q^m with O(sqrt(n/m)) nonzero terms, so a division by it costs
-O(n sqrt(n/m)) products, and O((n/m)^(3/2)) when the dividend is a series
-in q^m too; a power of it by Miller's recurrence costs O((n/m)^(3/2)).
-A quotient whose output is itself wide gains nothing from this and can
-lose: many division units, or a dense narrow quotient raised to a high
-power (1/Delta = E(q)^-24 is 1/E(q) to the 24th), cost more than inverting
-the sparse E(q^m) by Miller's recurrence in one pass.
+Each Euler factor E(q^m) = prod (1 - q^(m n)) is written term by term from
+the pentagonal number theorem (exponents m k(3k-1)/2 and m k(3k+1)/2) by
+euler_product, in one list; E(q) is the factor at m = 1.  The test suite
+checks them against naive term-by-term binomial products.  The level units
+Delta_N are eta quotients, and levels expands Delta(N) as one.
+
+With g the gcd of the exponents, a quotient prod_m E(q^m)^(e_m) is the g-th
+power of the narrow quotient prod_m E(q^m)^(e_m / g): its positive factors
+are powered and multiplied, the product is divided by E(q^m) once per unit
+of each negative e_m / g, and QSeries.pow raises the result to the g-th
+power.  No Euler factor is inverted on its own, so the coefficients of every
+intermediate stay about as wide as the output's (below q^1000, E(q)^-8 has
+coefficients 270 bits wider than Delta_2 = E(q)^-8 E(q^2)^16 has).  Below
+q^n, E(q^m) is a series in q^m with O(sqrt(n/m)) nonzero terms, so a
+division by it costs O(n sqrt(n/m)) products, and O((n/m)^(3/2)) when the
+dividend is a series in q^m too; a power of it by Miller's recurrence costs
+O((n/m)^(3/2)).  A quotient whose output is itself wide gains nothing from
+this and can lose: many division units, or a dense narrow quotient raised
+to a high power (1/Delta = E(q)^-24 is 1/E(q) to the 24th), cost more than
+inverting the sparse E(q^m) by Miller's recurrence in one pass.
 """
 
 from __future__ import annotations
@@ -35,37 +38,30 @@ from .qseries import QSeries, _as_fraction, _divide, zero_series
 
 
 def euler_function(prec: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) below q^prec, via the pentagonal-number series
-    1 + sum_{k>=1} (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))."""
-    if prec < 0:
-        prec = 0
-    arr = [0] * prec
-    if prec > 0:
-        arr[0] = 1
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= prec:
-            break
-        s = -1 if k % 2 else 1
-        arr[e1] += s
-        if e2 < prec:
-            arr[e2] += s
-        k += 1
-    return QSeries.build(1, 0, arr, prec)
+    """prod_{n>=1} (1 - q^n) below q^prec, or below q^0 when prec < 0."""
+    return euler_product(1, max(0, prec))
 
 
 def euler_product(m: int, prec: int) -> QSeries:
-    """prod_{n>=1} (1 - q^(m n)) below q^prec: the Euler function's terms
-    below q^ceil(prec/m), placed every m slots.  Only the slots below prec
-    are allocated, so a multiplier m far above prec costs nothing extra."""
+    """prod_{n>=1} (1 - q^(m n)) below q^prec, by the pentagonal number
+    theorem: 1 + sum_{k>=1} (-1)^k (q^(m k(3k-1)/2) + q^(m k(3k+1)/2)).
+    Only the slots below prec are allocated, so a multiplier m far above
+    prec costs nothing extra."""
     if m < 1:
         raise ValueError("multiplier must be a positive integer")
     top = max(0, prec)
     arr = [0] * top
-    arr[::m] = euler_function(-(-top // m)).nums
-    return QSeries.build(1, 0, arr, top).truncate(prec)
+    if top:
+        arr[0] = 1
+    # e = m k(3k-1)/2 and e + m k = m k(3k+1)/2, the k-th pair of exponents
+    k, e = 1, m
+    while e < top:
+        arr[e] = -1 if k % 2 else 1
+        if e + m * k < top:
+            arr[e + m * k] = arr[e]
+        e += m * (3 * k + 1)
+        k += 1
+    return QSeries._make(1, 0, arr, 1, top)._cut(prec)
 
 
 def _canonical_factors(factors):

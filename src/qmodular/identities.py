@@ -15,6 +15,7 @@ does) builds none of the 37 identity trees.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .expr import (
     weight,
 )
 from .levels import _poly, _sym, expand_expr
-from .qseries import HALF
+from .qseries import HALF, _as_fraction
 
 
 IdentityCase = namedtuple("IdentityCase", "name lhs rhs note default_prec", defaults=(200,))
@@ -358,12 +359,13 @@ def names():
 
 
 def check(name: str, prec=None) -> IdentityReport:
-    """Expand both sides of the named identity below the bound and compare;
-    a bound of 0, which compares nothing, is InsufficientPrecision."""
+    """Expand both sides of the named identity below the bound and compare.
+    A rational bound is read up to the integer ceil(prec), as expand_expr
+    reads it; a bound of 0, which compares nothing, is InsufficientPrecision."""
     case = _registry().get(name)
     if case is None:
         raise UnknownIdentity(f"no identity named {name!r}")
-    p = int(prec) if prec is not None else case.default_prec
+    p = math.ceil(_as_fraction(prec)) if prec is not None else case.default_prec
     if p == 0:
         raise InsufficientPrecision("a bound of q^0 compares no coefficient")
     lhs = expand_expr(case.lhs, p)

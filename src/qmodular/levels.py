@@ -18,10 +18,12 @@ one bounded cache of the expansions it made), and reduce, the forward
 substitution that writes a series in basis coordinates.
 
 A reference node is expanded as the expression it stands for and has no
-cache entry of its own: E(w,N,s) as its registered expression, and Phi(N)
-as its torsion sum over the atoms wp(k,0,N), whose entries it so shares
-with every other tree (for N = 2, 3 and 7 the sum is the node of
-E(2,N,0)).  Only PhiDiv(N) calls weierstrass.phi_level.
+cache entry of its own: E(w,N,s) as its registered expression, Phi(N) as
+its torsion sum over the atoms wp(k,0,N), whose entries it so shares with
+every other tree (for N = 2, 3 and 7 the sum is the node of E(2,N,0)), and
+Delta(N) as the eta atom of its quotient (eta.level_unit), so Delta(1) and
+eta(1)^24 are one entry and every eta quotient takes one kernel branch.
+Only PhiDiv(N) calls weierstrass.phi_level.
 
 reduce works on the integer numerators of the series and of the basis
 elements, which it expands through the cache without building the
@@ -35,6 +37,7 @@ _check_unitary, which generator and every basis expansion call.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
@@ -47,7 +50,7 @@ from .errors import (
     UnknownGenerator,
     UnsupportedWeight,
 )
-from .eta import EtaQuotient, delta, level_unit
+from .eta import EtaQuotient, level_unit
 from .expr import (
     DeltaRef,
     EisensteinAtom,
@@ -415,6 +418,10 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     and the torsion, Eisenstein and divisor kernels the ceiling of bound/24,
     the eta quotients and the zero series the exact bound/24.
 
+    A reference, E(w,N,s), Phi(N) or Delta(N), is expanded as the node it
+    resolves to (its registered expression, its torsion sum, the eta atom
+    of its quotient) and stores no entry of its own.
+
     A power f^n (n >= 3, f not an eta atom) that misses, with the cache on,
     climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3) where
     pow would take binary powering; where it would run Miller's recurrence,
@@ -437,6 +444,8 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
         return _expand(_resolve_ref(e.level, e.weight, e.index), bound, cache)
     if isinstance(e, PhiAtom) and e.mode == "weierstrass":
         return _expand(_phi_sum(e.level), bound, cache)
+    if isinstance(e, DeltaRef):
+        return _expand(EtaAtom(level_unit(e.level).quotient), bound, cache)
     # a Scalar's expansion is a constant and zeros, cheaper to build than
     # to store
     if cache is None or isinstance(e, Scalar):
@@ -467,8 +476,6 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
         return eisenstein(e.k, e.m, top)
     if isinstance(e, PhiAtom):  # the divisor presentation
         return phi_level(e.level, top)
-    if isinstance(e, DeltaRef):
-        return delta(e.level, Fraction(bound, 24))
     if isinstance(e, HalfTwist):
         return _expand(e.child, bound, cache).half_twist()
     if isinstance(e, Sum):
@@ -675,11 +682,13 @@ def _expanded_basis(level: int, wt: int, p: int) -> list:
     return out
 
 
-def basis(level: int, wt: int, prec: int) -> BasisSet:
+def basis(level: int, wt: int, prec) -> BasisSet:
     """Unitary upper-triangular basis of M_wt(Gamma0(level)), each element
-    expanded below exponent prec (prec >= dimension so every pivot shows)."""
+    expanded below exponent prec, a rational read up to the integer
+    precision ceil(prec), as expand_expr reads it (precision >= dimension
+    so every pivot shows)."""
     d = _nonzero_dimension(level, wt)
-    p = int(prec)
+    p = math.ceil(_as_fraction(prec))
     if p < d:
         raise InsufficientPrecision(
             f"precision {p} below the dimension {d} of M_{wt}(Gamma0({level}))"

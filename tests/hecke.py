@@ -13,13 +13,21 @@ reads f's coefficients far past the depth that reduce compares.
 runs the sweep over every nonzero space with N <= 10 and even weight up to
 max_weight (default 24) at the primes given (default 2 3 5), prints the
 number of checks and the time, and exits nonzero when a check fails.
-tests/test_hecke.py runs a slice of it.  pytest does not collect this file.
+
+    PYTHONPATH=src python tests/hecke.py delta [P]
+
+runs the deep self-check of the level units instead: T_2 (U_2 when 2
+divides N) of Delta_N, expanded below q^(2P) (default P = 10000), must
+reduce in M_rho(Gamma0(N)) below q^P for N = 1..10.  It checks the eta
+kernel far past any slow oracle.  tests/test_hecke.py runs a slice of both.
+pytest does not collect this file.
 """
 
 import sys
 import time
 from fractions import Fraction
 
+from qmodular.eta import delta, level_unit
 from qmodular.levels import basis, dimension, reduce
 from qmodular.qseries import QSeries
 
@@ -57,9 +65,23 @@ def sweep(max_weight: int, primes) -> int:
     return checks
 
 
+def unit_sweep(P: int) -> None:
+    """Reduce T_2 or U_2 of each level unit Delta_N, N = 1..10, read from
+    Delta_N below q^(2P), in M_rho(Gamma0(N)) below q^P.  A failing check
+    raises NotInSpan."""
+    for N in range(1, 11):
+        rho = level_unit(N).rho
+        reduce(hecke(delta(N, 2 * P), 2, rho, N, P), N, rho)
+
+
 if __name__ == "__main__":
-    max_weight = int(sys.argv[1]) if len(sys.argv) > 1 else 24
-    primes = [int(p) for p in sys.argv[2:]] or [2, 3, 5]
     start = time.perf_counter()
-    checks = sweep(max_weight, primes)
-    print(f"{checks} Hecke checks in span, {time.perf_counter() - start:.2f} s")
+    if sys.argv[1:2] == ["delta"]:
+        P = int(sys.argv[2]) if len(sys.argv) > 2 else 10_000
+        unit_sweep(P)
+        done = f"T_2 or U_2 of Delta_N, N = 1..10, in span below q^{P}"
+    else:
+        max_weight = int(sys.argv[1]) if len(sys.argv) > 1 else 24
+        primes = [int(p) for p in sys.argv[2:]] or [2, 3, 5]
+        done = f"{sweep(max_weight, primes)} Hecke checks in span"
+    print(f"{done}, {time.perf_counter() - start:.2f} s")

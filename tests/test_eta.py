@@ -29,16 +29,14 @@ from test_qseries import poly_inv, poly_mul, series_coeff_map
 
 
 def naive_euler_product(m, n):
-    """Coefficient list of prod_{k>=1} (1 - q^(m k)) modulo q^n."""
-    acc = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    k = 1
-    while m * k < n:
-        binom = [Fraction(0)] * (m * k + 1)
-        binom[0] = Fraction(1)
-        binom[m * k] = Fraction(-1)
-        acc = poly_mul(acc, binom, n)
-        k += 1
-    return acc
+    """Coefficient list of prod_{k>=1} (1 - q^(m k)) modulo q^n (empty when
+    n <= 0), one binomial at a time: acc * (1 - q^j) subtracts acc shifted
+    by j, from the top down so that each slot reads the old acc."""
+    acc = [1] + [0] * (n - 1)
+    for j in range(m, n, m):
+        for i in range(n - 1, j - 1, -1):
+            acc[i] -= acc[i - j]
+    return acc[: max(n, 0)]
 
 
 def naive_eta_tail(factors, n):
@@ -80,11 +78,30 @@ def test_euler_function_matches_naive():
     assert euler_function(-2) == euler_function(0) == QSeries.build(1, 0, [], 0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
-def test_euler_product_matches_naive(m):
-    f = euler_product(m, 41)
-    naive = naive_euler_product(m, 41)
-    assert [Fraction(f.coefficient(i)) for i in range(41)] == naive
+def pentagonal_edges(top_m, top_n):
+    """(m, n) for m <= top_m and n <= top_n within 1 of m times a generalized
+    pentagonal number k(3k-1)/2, k in Z (k = 0 gives the bounds n <= 0):
+    the bounds at which euler_product places its last term or stops just
+    short of one."""
+    edges = set()
+    for m in range(1, top_m + 1):
+        k = 0
+        while m * k * (3 * k - 1) // 2 <= top_n + 1:
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                edges.update((m, n) for n in (m * g - 1, m * g, m * g + 1) if n <= top_n)
+            k += 1
+    return sorted(edges)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [pytest.param(m, 41, id=str(m)) for m in (1, 2, 3, 5, 7)]
+    + [pytest.param(m, n, id=f"m{m}-n{n}") for m, n in pentagonal_edges(10, 300)],
+)
+def test_euler_product_matches_naive(m, n):
+    f = euler_product(m, n)
+    assert f.prec == n
+    assert [Fraction(f.coefficient(i)) for i in range(n)] == naive_euler_product(m, n)
 
 
 def test_euler_product_allocates_only_below_the_bound():

@@ -331,6 +331,16 @@ def test_phi_is_one_hit_on_the_weight_two_head(level):
     assert after.coefficients == before.coefficients
 
 
+def test_a_level_unit_is_the_entry_of_its_eta_quotient():
+    # Delta(1) resolves to eta(1)^24: the Sum, the quotient and the Power
+    # node miss, and the Power's folded quotient is the one hit.  Entries:
+    # the quotient and the Power, 29 coefficients each, and the zero Sum.
+    expand_cache_clear()
+    assert expand_expr(parse_expr("Delta(1) - eta(1)^24"), 30).is_zero
+    assert tuple(expand_cache_info()) == (1, 3, 0, 59)
+    assert DeltaRef(1) not in levels._CACHE.entries
+
+
 # ---------------------------------------------------------------------------
 # int bounds against the Fraction-bound evaluator
 # ---------------------------------------------------------------------------

@@ -119,6 +119,14 @@ def test_a_bound_that_compares_nothing_is_refused():
     assert check("mod1", 1).passed
 
 
+def test_a_fractional_bound_keeps_the_coefficients_below_it():
+    # q^4 lies below q^(9/2), so both sides are compared there too
+    r = check("mod1", Fraction(9, 2))
+    assert r.prec == 5
+    assert r.describe() == "mod1: PASS (below q^5)"
+    assert check("mod1", "1/2").prec == 1
+
+
 def test_failure_reports_first_bad_exponent(monkeypatch):
     g = GeneratorRef(2, 2, 0)
     case = IdentityCase(

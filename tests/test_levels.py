@@ -461,6 +461,16 @@ def test_basis_errors():
         basis(12, 4, 8)
 
 
+def test_a_fractional_bound_keeps_the_coefficients_below_it():
+    # q^4 lies below q^(9/2): every element is expanded below q^5, as
+    # expand_expr expands it at that bound
+    b = basis(2, 4, Fraction(9, 2))
+    assert b.precision == 5
+    for el in b.elements:
+        assert el.series == expand_expr(el.expr, Fraction(9, 2)) == expand_expr(el.expr, 5)
+    assert b.to_json() == basis(2, 4, 5).to_json()
+
+
 def test_basis_json_shape():
     doc = basis(2, 4, 4).to_json()
     assert doc["level"] == 2 and doc["weight"] == 4 and doc["precision"] == 4
