@@ -262,8 +262,9 @@ class _Parser:
 
     def call(self, i) -> FormExpr:
         """The atom of the call at token i, its arguments read from the
-        token.  When that fails (a call name on its own, a wrong count, an
-        argument out of range) walk reads them again, and raises."""
+        token.  When that fails (a call name on its own, a wrong count, a
+        literal too long, a zero denominator, an argument out of range)
+        reject reads them again and raises at the first that is wrong."""
         t = self.toks[i]
         kinds, make = _CALLS[t[0] or t[2] or t[7]]
         args = ()
@@ -280,7 +281,7 @@ class _Parser:
             or kinds[0] == "w" and args[0] > _MAX_WEIGHT
             or kinds[0] == "o" and max(args[0].denominator, args[1].denominator) > 2
         ):
-            args = self.walk(i, kinds)
+            self.reject(i, kinds)
         # the arguments are checked when the atom is made, so one outside
         # its domain fails at every bound, not only past its valuation
         try:
@@ -288,10 +289,12 @@ class _Parser:
         except (QModularError, ValueError) as exc:
             self.fail(str(exc), i)
 
-    def walk(self, i, kinds) -> list:
-        """The arguments of the call at token i, read unit by unit as the
-        grammar reads them and each checked when read, so the first that
-        is malformed or out of range raises at its position."""
+    def reject(self, i, kinds) -> None:
+        """Raise at the first argument of the call at token i that is
+        malformed or out of range, read unit by unit as the grammar reads
+        them and each checked when read.  call asks only about a call
+        whose token it could not read, and each of those has a wrong
+        argument or a wrong count, which fails at a '(', ',' or ')'."""
         units = [(m[1], m.start(1)) for m in re.compile(_UNIT).finditer(self.src, self.position(i))]
         units = [("", len(self.src)), *reversed(units[1:])]  # a stack, past the name
 
@@ -303,7 +306,6 @@ class _Parser:
             if text != want:
                 raise ParseError("expected an integer" if want is int else f"expected {want!r}", pos)
 
-        args = []
         for k, kind in enumerate(kinds):
             take("," if k else "(")
             pos = units[-1][1]
@@ -325,9 +327,7 @@ class _Parser:
                 if x.denominator > 2:
                     role = "offset" if kind == "o" else "phase"
                     raise ParseError(f"{role} {x} must have denominator 1 or 2", pos)
-            args.append(x)
         take(")")
-        return args
 
     def nested(self, at, i):
         """The expression at token i, inside the '(' or 'twist(' at token

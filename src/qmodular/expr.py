@@ -105,14 +105,21 @@ class FormExpr:
     * _facts(): (_weight, _lower), from its fields or its children's facts;
     * _print(): (text, precedence level) in the CLI grammar;
     and each class with children gives _mixed(), the message naming the
-    first sum under it that mixes weights, depth first."""
+    first sum under it that mixes weights, depth first.  A Product or a
+    Power also keeps _eta, filled on first use: the EtaAtom it folds into
+    when all of its factors are eta atoms or powers of one, else None."""
 
     __slots__ = ("_key", "_hash", "_weight", "_lower", "__weakref__")
     _fields = ()
 
     def __getattr__(self, name):
         # Python asks here only for an attribute it did not find, so a fact
-        # is read here once, while the slots are unset; this fills both
+        # is read here once, while its slot is unset
+        if name == "_eta" and type(self) in (Product, Power):
+            folded, rest = _fold_eta(self.factors if type(self) is Product else (self,))
+            object.__setattr__(self, "_eta", None if rest else folded)
+            return self._eta
+        # _weight and _lower are filled together
         if name != "_weight" and name != "_lower":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         w, v = self._facts()
@@ -347,7 +354,8 @@ class Sum(FormExpr):
 class Product(FormExpr):
     """Product of a nonempty tuple of factors (weights add)."""
 
-    __slots__ = _fields = ("factors",)
+    __slots__ = ("factors", "_eta")
+    _fields = ("factors",)
 
     def __new__(cls, factors):
         items = tuple(factors)
@@ -372,7 +380,8 @@ class Product(FormExpr):
 class Power(FormExpr):
     """Nonnegative integer power of a base expression."""
 
-    __slots__ = _fields = ("base", "exponent")
+    __slots__ = ("base", "exponent", "_eta")
+    _fields = ("base", "exponent")
 
     def __new__(cls, base, exponent):
         if type(exponent) is not int or exponent < 0:
@@ -390,6 +399,26 @@ class Power(FormExpr):
 
     def _print(self):
         return f"{_render(self.base, _LVL_ATOM)}^{self.exponent}", _LVL_POW
+
+
+def _fold_eta(factors):
+    """Split product factors into one merged EtaAtom (or None) plus the rest.
+
+    Power(EtaAtom, n) folds as n copies.  Merging first is what makes
+    quotients like eta(1)^24 expandable even though eta(1) alone has a
+    leading exponent outside (1/2)Z."""
+    pairs = []
+    rest = []
+    for f in factors:
+        if isinstance(f, EtaAtom):
+            pairs.extend(f.quotient.factors)
+        elif isinstance(f, Power) and isinstance(f.base, EtaAtom):
+            pairs.extend((m, e * f.exponent) for m, e in f.base.quotient.factors)
+        else:
+            rest.append(f)
+    if not pairs:
+        return None, rest
+    return EtaAtom(EtaQuotient(pairs)), rest
 
 
 class HalfTwist(FormExpr):

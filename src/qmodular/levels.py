@@ -50,7 +50,7 @@ from .errors import (
     UnknownGenerator,
     UnsupportedWeight,
 )
-from .eta import EtaQuotient, level_unit
+from .eta import level_unit
 from .expr import (
     DeltaRef,
     EisensteinAtom,
@@ -65,6 +65,7 @@ from .expr import (
     Sum,
     WpAtom,
     WptAtom,
+    _fold_eta,
     make_power,
     make_product,
     print_expr,
@@ -293,26 +294,6 @@ def _resolve_ref(level: int, wt: int, index: int) -> FormExpr:
 # ---------------------------------------------------------------------------
 
 
-def _fold_eta(factors):
-    """Split product factors into one merged EtaAtom (or None) plus the rest.
-
-    Power(EtaAtom, n) folds as n copies.  Merging first is what makes
-    quotients like eta(1)^24 expandable even though eta(1) alone has a
-    leading exponent outside (1/2)Z."""
-    pairs = []
-    rest = []
-    for f in factors:
-        if isinstance(f, EtaAtom):
-            pairs.extend(f.quotient.factors)
-        elif isinstance(f, Power) and isinstance(f.base, EtaAtom):
-            pairs.extend((m, e * f.exponent) for m, e in f.base.quotient.factors)
-        else:
-            rest.append(f)
-    if not pairs:
-        return None, rest
-    return EtaAtom(EtaQuotient(pairs)), rest
-
-
 # Budget of the expansion cache, in stored coefficients (CHANGES.md has the
 # sweep it was chosen from).
 _CACHE_BUDGET = 12_000
@@ -420,7 +401,9 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
 
     A reference, E(w,N,s), Phi(N) or Delta(N), is expanded as the node it
     resolves to (its registered expression, its torsion sum, the eta atom
-    of its quotient) and stores no entry of its own.
+    of its quotient) and stores no entry of its own.  So is a product or
+    power whose factors all fold into one eta atom (its _eta, found once
+    per node), such as eta(1)^24.
 
     A power f^n (n >= 3, f not an eta atom) that misses, with the cache on,
     climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3) where
@@ -452,6 +435,14 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
         return _expand_node(e, bound, cache)
     s = cache.find(e, bound)
     if s is None:
+        # a product or power of eta atoms is never stored: it is the entry of
+        # the one atom its factors fold into, at the same bound (the
+        # valuation bound is additive).  The first factor's type passes most
+        # nodes at once; the fold, _eta, is made once per node that may fold.
+        if type(e) is Product or type(e) is Power:
+            f = e.factors[0] if type(e) is Product else e
+            if (type(f) is EtaAtom or type(f) is Power and type(f.base) is EtaAtom) and e._eta is not None:
+                return _expand(e._eta, bound, cache)
         cache.misses += 1
         s = _expand_node(e, bound, cache)
         cache.put(e, s)
@@ -501,7 +492,7 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
         low = base._lower
         slack = bound - n * low
         t = _expand(base, slack + low, cache)
-        if cache is not None and t.by_squaring(n):
+        if cache is not None and n > 2 and t.by_squaring(n):
             # the rungs are the cached powers of the base; k >= n - k: the
             # cofactor is at most f^(n/2), so at most log2(n) powers climb at
             # once

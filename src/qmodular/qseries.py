@@ -16,7 +16,12 @@ operand has at most _KRONECKER_MIN nonzero terms, a schoolbook loop
 multiplies term by term, skipping zeros.  Otherwise the numerators are
 packed into big ints (Kronecker substitution), evaluated at the two
 points 2^N and -2^N, and two CPython multiplications of half the packed
-length give the even and the odd coefficients of the product.
+length give the even and the odd coefficients of the product.  A power
+runs Miller's recurrence or binary powering by Kronecker products,
+whichever QSeries.by_squaring estimates is cheaper from the length, the
+nonzero count and the coefficient width; an exact quotient by a series
+with leading term 1 runs _divide, which adds or subtracts where a term of
+the divisor is +1 or -1.
 
 Many long operands are series in q^t: an Euler factor prod (1 - q^(m n))
 is one in q^m, and an integer-grid series spread onto the half grid has
@@ -119,10 +124,18 @@ def _kronecker(a, b, n: int) -> list:
 
 def _stride(nums) -> int:
     """The gcd of the indices of the nonzero entries of nums: every nonzero
-    entry sits at a multiple of it (0 when none sits past index 0).  The
-    scan stops where the gcd reaches 1, so a dense list costs two steps."""
-    t = 0
-    for i in compress(range(len(nums)), nums):
+    entry sits at a multiple of it (0 when none sits past index 0).
+
+    The first nonzero index t past 0 is the stride when every nonzero
+    entry sits at a multiple of t, which two counts of zeros decide, so a
+    series in q^t costs no step per term.  Otherwise the scan takes the gcd
+    index by index and stops where it reaches 1, so a dense list costs
+    three steps."""
+    nonzero = compress(range(len(nums)), nums)
+    t = next(nonzero, 0) or next(nonzero, 0)
+    if t > 1 and len(nums) - nums.count(0) == len(nums[::t]) - nums[::t].count(0):
+        return t
+    for i in nonzero:
         t = math.gcd(t, i)
         if t == 1:
             break
@@ -211,9 +224,12 @@ def _divide(a, b) -> list:
     lists a and b, for b[0] == 1 (b's terms past its end count as zero).
 
     h_j = a_j - sum_k b_k h_(j-k) over b's nonzero terms with k >= 1, so
-    every h_j is an integer and the cost is one product per term of h and
-    nonzero b_k.  When a and b are both series in q^t, so is h, and the
-    recurrence runs on the compressed lists a[::t] and b[::t]."""
+    every h_j is an integer and the cost is one step per term of h and
+    nonzero b_k.  b's terms are split by coefficient: a term of +1 or -1,
+    every term of an Euler factor E(q^m), subtracts or adds h_(j-k) with no
+    multiply, and only the others multiply.  When a and b are both series
+    in q^t, so is h, and the recurrence runs on the compressed lists a[::t]
+    and b[::t]."""
     n = len(a)
     b = b[:n]
     t = math.gcd(_stride(a), _stride(b))
@@ -222,9 +238,20 @@ def _divide(a, b) -> list:
         out[::t] = _divide(a[::t], b[::t])
         return out
     terms = [(k, c) for k, c in enumerate(b) if k and c]
+    plus = [k for k, c in terms if c == 1]
+    minus = [k for k, c in terms if c == -1]
+    wide = [(k, c) for k, c in terms if c != 1 and c != -1]
     h = []
     for j, x in enumerate(a):
-        for k, c in terms:
+        for k in plus:
+            if k > j:
+                break
+            x -= h[j - k]
+        for k in minus:
+            if k > j:
+                break
+            x += h[j - k]
+        for k, c in wide:
             if k > j:
                 break
             x -= c * h[j - k]
@@ -424,12 +451,12 @@ class QSeries:
 
         costs one product per known term and nonzero f_k: O(L sqrt(L)) for
         an L-term Euler factor.  Binary powering costs one Kronecker product
-        per step instead, so pow takes it for n >= 2 when f has more than
-        _KRONECKER_MIN nonzero terms per step.  Either way the result keeps
-        f's relative precision (prec - val steps).  The power of a series
-        in q^t (numerators of stride t) is one in q^t too, so either method
-        runs on the ceil(L/t) numerators f[::t], and the result is spread
-        back every t slots.
+        per step instead, whose cost grows with the width of the result;
+        pow takes it for n >= 2 where by_squaring estimates it is cheaper.
+        Either way the result keeps f's relative precision (prec - val
+        steps).  The power of a series in q^t (numerators of stride t) is
+        one in q^t too, so either method runs on the ceil(L/t) numerators
+        f[::t], and the result is spread back every t slots.
 
         pow(f, 1) is f itself.  pow(f, 0) is 1 carried to that relative
         precision and raises InvalidPrecision when the window is empty.  A
@@ -476,10 +503,37 @@ class QSeries:
 
     def by_squaring(self, n: int) -> bool:
         """Whether pow(n) takes binary powering rather than Miller's
-        recurrence: n >= 2 and more than _KRONECKER_MIN nonzero terms (as
-        many as in the compressed numerators) per Kronecker product."""
-        steps = n.bit_length() + bin(n).count("1") - 2
-        return n >= 2 and len(self.nums) - self.nums.count(0) > _KRONECKER_MIN * steps
+        recurrence, by an estimate of the cost of each on the compressed
+        numerators: L of them, nnz nonzero, with b the bit size of the
+        wider of the first and the last.
+
+        Miller's recurrence makes about nnz L small products.  Binary
+        powering makes steps Kronecker products; each is costed as
+        (L + 16)(n b + 256) / 32, linear in the slots and in the width of
+        the result's coefficients, about n b bits, which Miller's products
+        hardly feel.  So n >= 2 squares when
+
+            32 nnz L > steps (L + 16) (n b + 256).
+
+        b stands in for the widest coefficient, which would cost a pass
+        over the numerators: the series here grow along their length, and
+        on every shape of the sweep the two give the same route.  The
+        constants are fitted on the power shapes of the benchmark workloads
+        and a synthetic grid (tests/kernel_sweep.py; CHANGES.md has the
+        sweep)."""
+        f = self.nums
+        if n < 2 or not f:
+            return False
+        steps = n.bit_length() + n.bit_count() - 2
+        nnz = len(f) - f.count(0)
+        # 32 nnz L / (L + 16) grows with L, and L <= len(f): when it is at
+        # most 256 steps even at len(f), no width lets squaring win
+        if 32 * nnz * len(f) <= 256 * steps * (len(f) + 16):
+            return False
+        f = f[:: _stride(f) or len(f)]
+        size = len(f)
+        width = n * max(abs(f[0]), abs(f[-1])).bit_length()
+        return 32 * nnz * size > steps * (size + 16) * (width + 256)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the leading coefficient must be known."""

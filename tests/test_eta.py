@@ -435,3 +435,48 @@ def test_divide_runs_on_compressed_lists(monkeypatch):
     h = qseries._divide(a, b)
     assert calls == [40, 20] and not any(h[1::2])
     assert h == window(QSeries.build(1, 0, a, 40) * QSeries.build(1, 0, b, 40).pow(-1), 40)
+
+
+def loop_divide(a, b):
+    """The division recurrence as it was before b's terms were split by
+    coefficient: every term multiplies, +1 and -1 included."""
+    n = len(a)
+    b = b[:n]
+    t = math.gcd(qseries._stride(a), qseries._stride(b))
+    if t > 1:
+        out = [0] * n
+        out[::t] = loop_divide(a[::t], b[::t])
+        return out
+    terms = [(k, c) for k, c in enumerate(b) if k and c]
+    h = []
+    for j, x in enumerate(a):
+        for k, c in terms:
+            if k > j:
+                break
+            x -= c * h[j - k]
+        h.append(x)
+    return h
+
+
+@st.composite
+def unit_division_strategy(draw):
+    """(a, b) of one length n >= 1, b[0] == 1, whose other terms mix +1, -1
+    and wide coefficients, each list a series in q^t for a drawn t <= 6."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    ta, tb = draw(st.integers(min_value=1, max_value=6)), draw(st.integers(min_value=1, max_value=6))
+    a = spread(draw(st.lists(ints, max_size=n)), ta, n)
+    terms = st.one_of(st.sampled_from([1, -1, 0]), ints)
+    b = spread([1] + draw(st.lists(terms, max_size=n)), tb, n)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_division_strategy())
+# only +1 terms, only -1 terms, only wide ones, and an Euler factor
+@example(([3, 1, 4, 1, 5, 9, 2, 6], [1, 1, 0, 1, 1, 0, 0, 1]))
+@example(([3, 1, 4, 1, 5, 9, 2, 6], [1, -1, -1, 0, 0, 0, -1, 0]))
+@example(([3, 1, 4, 1, 5, 9, 2, 6], [1, 2**70, 0, -3, 0, 0, 0, 5]))
+@example((list(euler_product(2, 200).pow(4).nums), list(euler_product(1, 200).nums)))
+def test_divide_matches_the_multiplying_loop(case):
+    a, b = case
+    assert qseries._divide(a, b) == loop_divide(a, b)

@@ -332,13 +332,15 @@ def test_phi_is_one_hit_on_the_weight_two_head(level):
 
 
 def test_a_level_unit_is_the_entry_of_its_eta_quotient():
-    # Delta(1) resolves to eta(1)^24: the Sum, the quotient and the Power
-    # node miss, and the Power's folded quotient is the one hit.  Entries:
-    # the quotient and the Power, 29 coefficients each, and the zero Sum.
+    # Delta(1) resolves to eta(1)^24, and the Power node eta(1)^24 to its
+    # folded quotient: the Sum and the quotient miss, and the Power's
+    # lookup of the quotient is the one hit.  Entries: the quotient, 29
+    # coefficients, and the zero Sum; neither reference stores a copy.
     expand_cache_clear()
     assert expand_expr(parse_expr("Delta(1) - eta(1)^24"), 30).is_zero
-    assert tuple(expand_cache_info()) == (1, 3, 0, 59)
+    assert tuple(expand_cache_info()) == (1, 2, 0, 30)
     assert DeltaRef(1) not in levels._CACHE.entries
+    assert parse_expr("eta(1)^24") not in levels._CACHE.entries
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ operand is packed or looped over at full length, zero slots included.  They
 share _kronecker and _miller with the package, which test_qseries checks
 against schoolbook and long-division oracles."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle
@@ -153,6 +154,36 @@ def test_stride_is_the_gcd_of_the_nonzero_indices():
     assert qseries._stride([0, 0, 0, 6, 0, 0, 9]) == 3
     assert qseries._stride([7, 0, 0]) == 0
     assert qseries._stride([]) == 0
+
+
+def loop_stride(nums) -> int:
+    """The gcd of the nonzero indices, index by index: _stride as it was
+    before it counted zeros."""
+    t = 0
+    for i, x in enumerate(nums):
+        if x:
+            t = math.gcd(t, i)
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.booleans(), max_size=12),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=3),
+)
+# indices 0, 4 and 6: the first index past 0 is 4, the stride 2
+@example(2, [True, False, True, True], [])
+@example(1, [], [])
+def test_stride_matches_the_index_loop(stride, kept, strays):
+    # nonzero entries at some multiples of a stride, and a few strays
+    nums = [0] * (stride * len(kept))
+    nums[::stride] = [int(k) for k in kept]
+    for i in strays:
+        if i < len(nums):
+            nums[i] = 7
+    assert qseries._stride(nums) == loop_stride(nums)
+    assert qseries._stride(tuple(nums)) == loop_stride(nums)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Core series arithmetic: frozen examples, independent oracles, ring axioms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle
 from qmodular import qseries
-from qmodular.eta import euler_product
+from qmodular.eta import delta, euler_product
 from qmodular.errors import (
     FractionalExponent,
     InvalidPrecision,
@@ -482,9 +483,9 @@ def test_dense_pow_matches_list_oracles(f, n):
 def test_kronecker_path_selection(monkeypatch):
     """Products take Kronecker substitution only when both operands have
     more than _KRONECKER_MIN nonzero terms, and pow(n) only for n >= 2 and
-    more than _KRONECKER_MIN nonzero terms per step of binary powering.  A
-    series in q^t is packed, or powered by Miller's recurrence, without its
-    zero slots."""
+    32 nnz L > steps (L + 16) (n b + 256) (QSeries.by_squaring).  A series
+    in q^t is packed, or powered by Miller's recurrence, without its zero
+    slots."""
     calls = []
     real_kronecker = qseries._kronecker
     real_miller = qseries._miller
@@ -519,8 +520,18 @@ def test_kronecker_path_selection(monkeypatch):
     f = dense(KRON + 1)
     assert made(lambda: f.pow(2)) == [("kronecker", KRON + 1, KRON + 1, KRON + 1, True)]
     f = dense(2 * KRON)
-    assert made(lambda: f.pow(3)) == []
+    assert len(made(lambda: f.pow(3))) == 2
     assert len(made(lambda: dense(2 * KRON + 1).pow(3))) == 2
+    # the cube of dense(L) squares from 27 terms on, b read from its last
+    # coefficient 1 + (L - 1) % 5: 32 * 27^2 = 23328 > 2 * 43 * (3 * 2 + 256)
+    # = 22532, while 32 * 26^2 = 21632 < 2 * 42 * (3 * 1 + 256) = 21756
+    assert made(lambda: dense(26).pow(3)) == []
+    assert len(made(lambda: dense(27).pow(3))) == 2
+    # 64-bit coefficients: a 128-term series squares to the 6th power and
+    # runs Miller's recurrence to the 24th, whose result is 1536 bits wide
+    wide = QSeries.build(1, 0, [(-1) ** i * (2**63 + i) for i in range(128)], 128)
+    assert len(made(lambda: wide.pow(6))) == 3
+    assert made(lambda: wide.pow(24)) == []
     assert len(made(lambda: dense(3 * KRON + 1).pow(6))) == 3
     assert made(lambda: dense(3 * KRON + 1).pow(-1)) == []
     assert made(lambda: dense(3 * KRON + 1).pow(1)) == []
@@ -540,12 +551,56 @@ def test_kronecker_path_selection(monkeypatch):
     assert made(lambda: f * f) == [("kronecker", k, k, k, True)]
     assert made(lambda: f.pow(2)) == [("kronecker", k, k, k, True)]
 
-    # an Euler factor in q^m runs Miller's recurrence on ceil(1000/m) terms
+    # an Euler factor in q^m is powered on its ceil(1000/m) compressed terms
+    # (b = 1): by binary powering for E(q)^24 (32 * 51 * 1000 = 1632000 >
+    # 5 * 1016 * 280) and E(q^m)^6 with m <= 3, by Miller's recurrence for
+    # the rest, such as E(q^2)^24 (32 * 37 * 500 = 592000 < 5 * 516 * 280)
+    # and E(q^4)^6 (32 * 26 * 250 = 208000 < 3 * 266 * 262)
+    squares = {(1, 24): 5, (1, 6): 3, (2, 6): 3, (3, 6): 3}
     for m in range(1, 11):
+        size = -(-1000 // m)
         for e in (-8, -1, 6, 24):
             calls.clear()
             euler_product(m, 1000).pow(e)
-            assert calls == [("miller", -(-1000 // m))], (m, e)
+            if (m, e) in squares:
+                assert [c[:4] for c in calls] == [("kronecker", size, size, size)] * squares[m, e]
+            else:
+                assert calls == [("miller", size)], (m, e)
+
+
+def routed(f, n, squaring):
+    """f.pow(n) as its five fields, with binary powering forced on (for
+    every n >= 2) or off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QSeries, "by_squaring", lambda g, k: squaring and k >= 2)
+        return f.pow(n)._astuple()
+
+
+# psi(q) = sum_k q^(k(k+1)/2) = E(q^2)^2 / E(q), the narrow quotient of
+# Delta_2 = q psi(q)^8
+PSI = QSeries.build(1, 0, [int(math.isqrt(8 * i + 1) ** 2 == 8 * i + 1) for i in range(1000)], 1000)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_both_pow_routes_agree_on_euler_factors(m):
+    f = euler_product(m, 1000)
+    for e in (-8, -1, 2, 3, 6, 24):
+        assert routed(f, e, True) == routed(f, e, False), e
+
+
+def test_both_pow_routes_agree_on_psi():
+    assert routed(PSI, 8, True) == routed(PSI, 8, False)
+    assert PSI.pow(8).nums == delta(2, 1001).nums
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    long_qseries_strategy(min_size=1, max_size=40, densities=(1.0, 0.6)),
+    st.integers(min_value=2, max_value=12),
+)
+def test_both_pow_routes_agree_on_short_dense_powers(f, n):
+    # the shapes of reduce-session's powers: up to 40 terms, mostly nonzero
+    assert routed(f, n, True) == routed(f, n, False)
 
 
 def test_pow_one_is_the_series_itself(monkeypatch):
