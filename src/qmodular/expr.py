@@ -22,6 +22,15 @@ keeps as plain ints in a fixed unit:
   way (min over sums, sum over products).  It is what makes high-valuation
   products cheap to expand.
 
+A product or power of eta quotients is one eta quotient, and the
+constructors say so: Power(EtaAtom, n) with n >= 1 is the EtaAtom of the
+scaled quotient, and a Product merges its EtaAtom factors into one, placed
+where the first of them stood (the merged atom itself when no other factor
+is left).  As each child is built folded, nested powers and products fold
+too, so eta(1)^24, (eta(1)^2)^12 and Delta(1)'s quotient are one node, and
+no later stage needs to know the rule.  Eta factors inside a separately
+parenthesized product are not merged.
+
 Each node class states its facts in one rule, its _facts method: an atom
 from its fields, Sum, Product, Power and HalfTwist from their children's
 facts.  Both facts are filled in one pass on first use (FormExpr.__getattr__),
@@ -105,21 +114,18 @@ class FormExpr:
     * _facts(): (_weight, _lower), from its fields or its children's facts;
     * _print(): (text, precedence level) in the CLI grammar;
     and each class with children gives _mixed(), the message naming the
-    first sum under it that mixes weights, depth first.  A Product or a
-    Power also keeps _eta, filled on first use: the EtaAtom it folds into
-    when all of its factors are eta atoms or powers of one, else None."""
+    first sum under it that mixes weights, depth first.  A Product holds at
+    most one EtaAtom factor and a Power never has an EtaAtom base, save
+    for exponent 0: their constructors fold eta quotients (module
+    docstring)."""
 
     __slots__ = ("_key", "_hash", "_weight", "_lower", "__weakref__")
     _fields = ()
 
     def __getattr__(self, name):
         # Python asks here only for an attribute it did not find, so a fact
-        # is read here once, while its slot is unset
-        if name == "_eta" and type(self) in (Product, Power):
-            folded, rest = _fold_eta(self.factors if type(self) is Product else (self,))
-            object.__setattr__(self, "_eta", None if rest else folded)
-            return self._eta
-        # _weight and _lower are filled together
+        # is read here once, while its slot is unset; _weight and _lower are
+        # filled together
         if name != "_weight" and name != "_lower":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         w, v = self._facts()
@@ -263,11 +269,12 @@ class EtaAtom(FormExpr):
         return int(2 * q.weight), int(24 * q.lead_exponent)
 
     def _print(self):
-        # the empty quotient and a lone eta(m) are atoms, anything else a
-        # product of powers
+        # the empty quotient and a lone eta(m) are atoms, anything else binds
+        # as a power: among a product's factors the parser reads a quotient
+        # of several factors back as this atom, since Product merges them
         fs = self.quotient.factors
         atom = len(fs) < 2 and all(e == 1 for _, e in fs)
-        return str(self.quotient), _LVL_ATOM if atom else _LVL_PROD
+        return str(self.quotient), _LVL_ATOM if atom else _LVL_POW
 
 
 class EisensteinAtom(FormExpr):
@@ -352,10 +359,10 @@ class Sum(FormExpr):
 
 
 class Product(FormExpr):
-    """Product of a nonempty tuple of factors (weights add)."""
+    """Product of a nonempty tuple of factors (weights add); its EtaAtom
+    factors are merged into one, where the first of them stood."""
 
-    __slots__ = ("factors", "_eta")
-    _fields = ("factors",)
+    __slots__ = _fields = ("factors",)
 
     def __new__(cls, factors):
         items = tuple(factors)
@@ -364,6 +371,14 @@ class Product(FormExpr):
         for e in items:
             if not isinstance(e, FormExpr):
                 raise TypeError(f"product factor {e!r} is not a FormExpr")
+        if EtaAtom in map(type, items):
+            eta = EtaAtom([p for e in items if type(e) is EtaAtom for p in e.quotient.factors])
+            rest = [e for e in items if type(e) is not EtaAtom]
+            if not rest:
+                return eta
+            # every factor before the first eta atom is in rest, in place
+            i = [*map(type, items)].index(EtaAtom)
+            items = (*rest[:i], eta, *rest[i:])
         return _node((cls, items))
 
     def _facts(self):
@@ -378,16 +393,18 @@ class Product(FormExpr):
 
 
 class Power(FormExpr):
-    """Nonnegative integer power of a base expression."""
+    """Nonnegative integer power of a base expression; a positive power of
+    an EtaAtom is the EtaAtom of the scaled quotient."""
 
-    __slots__ = ("base", "exponent", "_eta")
-    _fields = ("base", "exponent")
+    __slots__ = _fields = ("base", "exponent")
 
     def __new__(cls, base, exponent):
         if type(exponent) is not int or exponent < 0:
             raise ValueError(f"power exponent must be a nonnegative int, got {exponent!r}")
         if not isinstance(base, FormExpr):
             raise TypeError(f"power base {base!r} is not a FormExpr")
+        if type(base) is EtaAtom and exponent:
+            return EtaAtom([(m, e * exponent) for m, e in base.quotient.factors])
         return _node((cls, base, exponent))
 
     def _facts(self):
@@ -399,26 +416,6 @@ class Power(FormExpr):
 
     def _print(self):
         return f"{_render(self.base, _LVL_ATOM)}^{self.exponent}", _LVL_POW
-
-
-def _fold_eta(factors):
-    """Split product factors into one merged EtaAtom (or None) plus the rest.
-
-    Power(EtaAtom, n) folds as n copies.  Merging first is what makes
-    quotients like eta(1)^24 expandable even though eta(1) alone has a
-    leading exponent outside (1/2)Z."""
-    pairs = []
-    rest = []
-    for f in factors:
-        if isinstance(f, EtaAtom):
-            pairs.extend(f.quotient.factors)
-        elif isinstance(f, Power) and isinstance(f.base, EtaAtom):
-            pairs.extend((m, e * f.exponent) for m, e in f.base.quotient.factors)
-        else:
-            rest.append(f)
-    if not pairs:
-        return None, rest
-    return EtaAtom(EtaQuotient(pairs)), rest
 
 
 class HalfTwist(FormExpr):

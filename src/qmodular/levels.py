@@ -21,8 +21,7 @@ A reference node is expanded as the expression it stands for and has no
 cache entry of its own: E(w,N,s) as its registered expression, Phi(N) as
 its torsion sum over the atoms wp(k,0,N), whose entries it so shares with
 every other tree (for N = 2, 3 and 7 the sum is the node of E(2,N,0)), and
-Delta(N) as the eta atom of its quotient (eta.level_unit), so Delta(1) and
-eta(1)^24 are one entry and every eta quotient takes one kernel branch.
+Delta(N) as the eta atom of its quotient (eta.level_unit).
 Only PhiDiv(N) calls weierstrass.phi_level.
 
 reduce works on the integer numerators of the series and of the basis
@@ -65,7 +64,6 @@ from .expr import (
     Sum,
     WpAtom,
     WptAtom,
-    _fold_eta,
     make_power,
     make_product,
     print_expr,
@@ -401,11 +399,9 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
 
     A reference, E(w,N,s), Phi(N) or Delta(N), is expanded as the node it
     resolves to (its registered expression, its torsion sum, the eta atom
-    of its quotient) and stores no entry of its own.  So is a product or
-    power whose factors all fold into one eta atom (its _eta, found once
-    per node), such as eta(1)^24.
+    of its quotient) and stores no entry of its own.
 
-    A power f^n (n >= 3, f not an eta atom) that misses, with the cache on,
+    A power f^n (n >= 3) that misses, with the cache on,
     climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3) where
     pow would take binary powering; where it would run Miller's recurrence,
     one pass for any n, a rung saves nothing.  With low = f._lower and
@@ -435,14 +431,6 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
         return _expand_node(e, bound, cache)
     s = cache.find(e, bound)
     if s is None:
-        # a product or power of eta atoms is never stored: it is the entry of
-        # the one atom its factors fold into, at the same bound (the
-        # valuation bound is additive).  The first factor's type passes most
-        # nodes at once; the fold, _eta, is made once per node that may fold.
-        if type(e) is Product or type(e) is Power:
-            f = e.factors[0] if type(e) is Product else e
-            if (type(f) is EtaAtom or type(f) is Power and type(f.base) is EtaAtom) and e._eta is not None:
-                return _expand(e._eta, bound, cache)
         cache.misses += 1
         s = _expand_node(e, bound, cache)
         cache.put(e, s)
@@ -472,14 +460,9 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
     if isinstance(e, Sum):
         return lincomb((c, _expand(f, bound, cache)) for c, f in e.terms)
     if isinstance(e, Product):
-        folded, rest = _fold_eta(e.factors)
-        factors = ([folded] if folded is not None else []) + rest
-        if len(factors) == 1:
-            return _expand(factors[0], bound, cache)
-        # folding keeps the product's bound: the valuation bound is additive
         slack = bound - e._lower
         acc = None
-        for f in factors:
+        for f in e.factors:
             t = _expand(f, slack + f._lower, cache)
             acc = t if acc is None else acc * t
         return acc
@@ -487,8 +470,6 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
         n, base = e.exponent, e.base
         if n == 0:
             return constant_series(1, top)
-        if isinstance(base, EtaAtom):
-            return _expand(_fold_eta((e,))[0], bound, cache)
         low = base._lower
         slack = bound - n * low
         t = _expand(base, slack + low, cache)

@@ -27,7 +27,7 @@ from qmodular.expr import (
     WpAtom,
     WptAtom,
 )
-from qmodular.levels import _fold_eta, _phi_sum, _resolve_ref
+from qmodular.levels import _phi_sum, _resolve_ref
 from qmodular.qseries import _as_fraction, constant_series, lincomb, zero_series
 from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat, wpt_valuation
 
@@ -162,21 +162,15 @@ def _expand_node(e, bound, cache):
     if isinstance(e, Sum):
         return lincomb((c, _expand(f, bound, cache)) for c, f in e.terms)
     if isinstance(e, Product):
-        folded, rest = _fold_eta(e.factors)
-        factors = ([folded] if folded is not None else []) + rest
-        if len(factors) == 1:
-            return _expand(factors[0], bound, cache)
         slack = bound - val_lower(e)
         acc = None
-        for f in factors:
+        for f in e.factors:
             t = _expand(f, slack + val_lower(f), cache)
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
         if e.exponent == 0:
             return constant_series(1, bound)
-        if isinstance(e.base, EtaAtom):
-            return _expand(_fold_eta((e,))[0], bound, cache)
         lo = val_lower(e.base)
         t = _expand(e.base, bound - (e.exponent - 1) * lo, cache)
         return t.pow(e.exponent)

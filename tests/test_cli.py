@@ -340,9 +340,32 @@ def test_eta_quotients_print_in_the_grammar():
         back = parse_expr(text)
         assert print_expr(back) == text and weight(back) == weight(atom)
         assert expand_expr(back, 12) == expand_expr(atom, 12)
+    # a positive power of a quotient is the scaled quotient
     product = EtaAtom(EtaQuotient([(1, 4), (2, 4)]))
-    assert print_expr(Power(product, 2)) == "(eta(1)^4*eta(2)^4)^2"
+    assert print_expr(Power(product, 2)) == "eta(1)^8*eta(2)^8"
     assert print_expr(Sum([(-2, product)])) == "-2*eta(1)^4*eta(2)^4"
+    # among a product's factors a quotient prints without parentheses, and
+    # the parser merges its factors back into the one atom
+    assert print_expr(Product((EisensteinAtom(4), EtaAtom([(1, 24)])))) == "E4*eta(1)^24"
+    for text in ["E4*eta(1)^24", "eta(1)^24*E4", "E4*eta(1)*eta(23)"]:
+        e = parse_expr(text)
+        assert print_expr(e) == text and parse_expr(print_expr(e)) is e
+
+
+@pytest.mark.parametrize(
+    "nested, flat",
+    [
+        ("(eta(1)^2)^12", "Delta(1)"),
+        ("((eta(1)^3)^2)^4", "Delta(1)"),
+        ("(eta(1)*eta(2))^8", "eta(1)^8*eta(2)^8"),
+    ],
+)
+def test_nested_eta_powers_expand_as_their_quotient(nested, flat):
+    # each inner power or product is folded as it is built, so the leading
+    # exponents 1/12 and 1/8 of the inner nodes are never expanded
+    want = run("expand", "--expr", flat, "--prec", "30")
+    assert want[0] == 0
+    assert run("expand", "--expr", nested, "--prec", "30") == want
 
 
 def test_structural_round_trip_on_plain_trees():

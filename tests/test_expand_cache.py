@@ -21,7 +21,7 @@ import expr_oracle
 from qmodular import levels, qseries
 from qmodular.cli import parse_expr
 from qmodular.errors import FractionalExponent
-from qmodular.eta import delta
+from qmodular.eta import delta, level_unit
 from qmodular.expr import (
     DeltaRef,
     EisensteinAtom,
@@ -39,7 +39,6 @@ from qmodular.expr import (
 )
 from qmodular.identities import REGISTRY as IDENTITIES
 from qmodular.levels import (
-    _fold_eta,
     _resolve_ref,
     basis_skeleton,
     dimension,
@@ -96,22 +95,16 @@ def uncached_expand(e: FormExpr, bound: Fraction):
             acc = t if acc is None else acc + t
         return acc
     if isinstance(e, Product):
-        folded, rest = _fold_eta(e.factors)
-        factors = ([folded] if folded is not None else []) + rest
-        if len(factors) == 1:
-            return uncached_expand(factors[0], bound)
-        lows = [val_lower(f) for f in factors]
+        lows = [val_lower(f) for f in e.factors]
         slack = bound - sum(lows)
         acc = None
-        for f, lo in zip(factors, lows):
+        for f, lo in zip(e.factors, lows):
             t = uncached_expand(f, slack + lo)
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
         if e.exponent == 0:
             return constant_series(1, bound)
-        if isinstance(e.base, EtaAtom):
-            return uncached_expand(_fold_eta((e,))[0], bound)
         lo = val_lower(e.base)
         t = uncached_expand(e.base, bound - (e.exponent - 1) * lo)
         return t.pow(e.exponent)
@@ -332,15 +325,16 @@ def test_phi_is_one_hit_on_the_weight_two_head(level):
 
 
 def test_a_level_unit_is_the_entry_of_its_eta_quotient():
-    # Delta(1) resolves to eta(1)^24, and the Power node eta(1)^24 to its
-    # folded quotient: the Sum and the quotient miss, and the Power's
-    # lookup of the quotient is the one hit.  Entries: the quotient, 29
-    # coefficients, and the zero Sum; neither reference stores a copy.
+    # Delta(1) resolves to the atom of its quotient, which the parse of
+    # eta(1)^24 is: the Sum and the quotient miss, and the second lookup of
+    # the quotient is the one hit.  Entries: the quotient, 29 coefficients,
+    # and the zero Sum; the reference stores no copy.
     expand_cache_clear()
     assert expand_expr(parse_expr("Delta(1) - eta(1)^24"), 30).is_zero
     assert tuple(expand_cache_info()) == (1, 2, 0, 30)
     assert DeltaRef(1) not in levels._CACHE.entries
-    assert parse_expr("eta(1)^24") not in levels._CACHE.entries
+    assert parse_expr("eta(1)^24") is EtaAtom(level_unit(1).quotient)
+    assert parse_expr("eta(1)^24") in levels._CACHE.entries
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +384,9 @@ OFF_GRID = [
     ("eta(1)*eta(23)", 3, "q - q^2 + O(q^3)"),
     ("eta(1)*eta(2)", F(1, 8), "O(q^(1/2))"),
     ("eta(1)*eta(2)", F(1, 3), FractionalExponent),
+    # a nested power of eta(1), folded into Delta's quotient when built, at
+    # a bound that bypasses the cache
+    ("(eta(1)^2)^12", F(13, 3), "q - 24q^2 + 252q^3 - 1472q^4 + O(q^5)"),
 ]
 
 
@@ -412,6 +409,7 @@ def test_off_grid_eta_atoms_keep_their_answers(src, b, answer):
 @example(e=parse_expr("eta(1)*eta(23)"), b=3, first=1)
 @example(e=parse_expr("eta(1)*eta(2)"), b=F(1, 8), first=F(1, 3))
 @example(e=parse_expr("eta(1)*eta(2)"), b=F(1, 3), first=F(1, 8))
+@example(e=parse_expr("(eta(1)^2)^12"), b=F(13, 3), first=F(1, 3))
 def test_int_bounds_match_the_fraction_bound_evaluator(warm, e, b, first):
     # cold: both caches empty; warm: whatever earlier examples left, and e
     # expanded first at another bound

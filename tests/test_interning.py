@@ -1,14 +1,15 @@
 """Hash-consed expression nodes: every structurally distinct node exists
 once while something holds it, and its weight and valuation bound, cached
 on first use, equal what the recursive oracle in expr_oracle computes from
-scratch."""
+scratch.  Products and powers of eta atoms are built as one eta atom."""
 
 import copy
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expr_oracle as oracle
@@ -17,6 +18,7 @@ from qmodular.cli import parse_expr
 from qmodular.expr import (
     DeltaRef,
     EisensteinAtom,
+    EtaAtom,
     GeneratorRef,
     HalfTwist,
     PhiAtom,
@@ -34,6 +36,8 @@ from qmodular.identities import REGISTRY as IDENTITIES
 from qmodular.levels import basis_skeleton, dimension, expand_expr
 
 from test_cli import random_tree
+from test_eta import naive_eta_map
+from test_qseries import series_coeff_map
 
 SPACES = [
     (n, w) for n in range(1, 11) for w in range(2, 25, 2) if dimension(n, w) > 0
@@ -143,6 +147,7 @@ def test_skeletons_built_twice_share_their_nodes():
         IDENTITIES["mod1"].rhs,
         basis_skeleton(10, 8)[-1],
         parse_expr("twist(wpt(1/2,0,1))^2 - 5/3*E(2,10,1)*Delta(10)^0*wp(1,0,2)"),
+        parse_expr("E4*(eta(1)*eta(2))^8"),
     ],
 )
 def test_copies_and_pickles_are_equal_hash_equal_and_expand_alike(e):
@@ -151,6 +156,81 @@ def test_copies_and_pickles_are_equal_hash_equal_and_expand_alike(e):
         assert twin == e and hash(twin) == hash(e)
         assert twin is e
         assert expand_expr(twin, 9) == want
+
+
+# ---------------------------------------------------------------------------
+# eta quotients fold as their nodes are built
+# ---------------------------------------------------------------------------
+
+# A plan of a nesting, built by build_plan: ("eta", m, e) is eta(m)^e,
+# ("E4",) is E4, ("pow", plan, n) a power and ("prod", plans) a product.
+ETA_LEAVES = st.tuples(st.just("eta"), st.integers(1, 12), st.integers(1, 4))
+
+
+def plans(depth):
+    leaves = st.one_of(ETA_LEAVES, ETA_LEAVES, st.just(("E4",)))
+    if depth == 0:
+        return leaves
+    kids = plans(depth - 1)
+    return st.one_of(
+        leaves,
+        st.tuples(st.just("pow"), kids, st.integers(1, 3)),
+        st.tuples(st.just("prod"), st.lists(kids, min_size=1, max_size=3)),
+    )
+
+
+def build_plan(plan):
+    kind = plan[0]
+    if kind == "eta":
+        return Power(EtaAtom([(plan[1], 1)]), plan[2])
+    if kind == "E4":
+        return EisensteinAtom(4)
+    if kind == "pow":
+        return Power(build_plan(plan[1]), plan[2])
+    return Product([build_plan(p) for p in plan[1]])
+
+
+def plan_contents(plan):
+    """The eta exponents by multiplier and the number of E4 factors of the
+    product a plan stands for, counted without folding anything."""
+    kind = plan[0]
+    if kind == "eta":
+        return Counter({plan[1]: plan[2]}), 0
+    if kind == "E4":
+        return Counter(), 1
+    if kind == "pow":
+        etas, e4 = plan_contents(plan[1])
+        return Counter({m: e * plan[2] for m, e in etas.items()}), e4 * plan[2]
+    etas, e4 = Counter(), 0
+    for p in plan[1]:
+        more, k = plan_contents(p)
+        etas, e4 = etas + more, e4 + k
+    return etas, e4
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans(3))
+@example(("pow", ("pow", ("eta", 1, 1), 2), 12))
+@example(("pow", ("pow", ("pow", ("eta", 1, 3), 1), 2), 4))
+@example(("pow", ("prod", [("eta", 1, 1), ("eta", 2, 1)]), 8))
+@example(("prod", [("E4",), ("pow", ("eta", 1, 2), 12), ("eta", 23, 1)]))
+@example(("prod", [("eta", 12, 1), ("prod", [("E4",), ("eta", 12, 1)])]))
+def test_eta_nestings_fold_when_built(plan):
+    e = build_plan(plan)
+    etas, e4 = plan_contents(plan)
+    for x in oracle.subtrees(e):
+        if type(x) is Product:
+            assert sum(type(f) is EtaAtom for f in x.factors) <= 1, x
+        assert type(x) is not Power or type(x.base) is not EtaAtom, x
+    assert_facts_match_the_oracle(e)
+    assert weight(e) == Fraction(sum(etas.values()), 2) + 4 * e4
+    lead = Fraction(sum(m * k for m, k in etas.items()), 24)
+    assert val_lower(e) == lead
+    if not e4:
+        assert e is EtaAtom(list(etas.items()))
+        if lead.denominator <= 2:
+            prec = lead + 3
+            assert series_coeff_map(expand_expr(e, prec)) == naive_eta_map(list(etas.items()), prec)
 
 
 def test_equality_is_structural_when_a_twin_escapes_the_table():
