@@ -11,7 +11,7 @@ The expression grammar, parsed by recursive descent:
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := atom ['^' uint]
+    factor := atom ['^' ['-'] uint]     -- a negative exponent on eta only
     atom   := rational | '(' expr ')'
             | 'Delta' '(' uint ')'
             | 'E' '(' uint ',' uint ',' uint ')'      -- weight, level, index
@@ -25,20 +25,23 @@ The expression grammar, parsed by recursive descent:
 
 One regular expression, run once by re.findall, lexes the source.  A token
 is a whole call with integer arguments (E(w,N,s), Delta(N), Eis(k,m),
-Phi(N), PhiDiv(N), eta(m)), a whole wp/wpt(a,b,m), '^' with its exponent,
-an integer or p/q rational, a name, or any other single character;
-whitespace separates tokens and may stand between any two grammar
-symbols.  The descent indexes the token list and keeps each term's
+Phi(N), PhiDiv(N), eta(m)), a whole wp/wpt(a,b,m), '^' with its signed
+exponent, an integer or p/q rational, a name, or any other single
+character; whitespace separates tokens and may stand between any two
+grammar symbols.  The descent indexes the token list and keeps each term's
 coefficient as an int pair.  No source position is kept: one is found
 only to raise a ParseError, by matching the tokens again with
 re.finditer, and a malformed call is read again one integer, name or
 character at a time, so that the error names the first bad unit.
 
-Scalar factors fold into sum coefficients, so print_expr round-trips
-through this parser for any tree the grammar can produce.  Parentheses and
-twist(...) may nest at most _MAX_DEPTH deep, '^' exponents are at most
-_MAX_EXPONENT, Eis weights at most _MAX_WEIGHT, and --prec, or the
-default precision that stands in for it, is at most _MAX_PREC.
+The parser builds every node through the expr constructors, which are the
+only canonicalizer (see the expr module docstring), so the parse of
+print_expr(e) is e for every tree of one weight.  It folds number literals
+and any factor to the power 0 into a term's coefficient itself, so that
+they make no Scalar node.  Parentheses and twist(...) may nest at most
+_MAX_DEPTH deep, '^' exponents are at most _MAX_EXPONENT in size, Eis
+weights at most _MAX_WEIGHT, and --prec, or the default precision that
+stands in for it, is at most _MAX_PREC.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from .expr import (
     Scalar,
     WpAtom,
     WptAtom,
-    make_sum,
+    Sum,
     print_expr,
     val_lower,
     weight,
@@ -107,7 +110,7 @@ _MAX_WEIGHT = 700
 
 # The lexer: one match per token, after the whitespace before it.  Tuple
 # slots of re.findall: 0-1 a call with integer arguments (name, arguments),
-# 2-3 wp/wpt and their three arguments, 4 the exponent of '^', 5-6 an
+# 2-3 wp/wpt and their three arguments, 4 the signed exponent of '^', 5-6 an
 # integer and its optional '/' denominator, 7 a name, 8 any other single
 # character.  Every call the grammar accepts is one token, so a call name
 # read on its own begins a malformed call.
@@ -115,7 +118,7 @@ _ARG = r"-?\s*\d+(?:\s*/\s*\d+)?"
 _TOKEN = (
     r"\s*(?:(E|Delta|Eis|Phi|PhiDiv|eta)\s*\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)"
     rf"|(wpt?)\s*\(\s*({_ARG}\s*,\s*{_ARG}\s*,\s*\d+)\s*\)"
-    r"|\^\s*(\d+)|(\d+)(?:\s*/\s*(\d+))?|([^\W\d_][^\W_]*)|(\S))"
+    r"|\^\s*(-?\s*\d+)|(\d+)(?:\s*/\s*(\d+))?|([^\W\d_][^\W_]*)|(\S))"
 )
 _EOF = ("",) * 9
 # One integer, name or character per token: the units an error names.
@@ -205,17 +208,30 @@ class _Parser:
                     f, i = self.atom(i - 1)
                 x = toks[i]
                 if x[4]:
-                    n = int(x[4])
-                    if n > _MAX_EXPONENT:
+                    # int() takes the space around its digits, not after a '-'
+                    n = -int(x[4][1:]) if x[4][0] == "-" else int(x[4])
+                    if abs(n) > _MAX_EXPONENT:
                         self.fail(f"exponent {n} exceeds the cap {_MAX_EXPONENT}", i, 5)
+                    if n < 0 and (f is None or type(f) is Fraction):
+                        f = Scalar(Fraction(p, q) if f is None else f)  # Power refuses it
+                    if n == 0:
+                        f, p, q = None, 1, 1
+                    elif f is None:
+                        p, q = p**n, q**n
+                    elif type(f) is Fraction:
+                        f = f**n
+                    else:
+                        # Power folds an eta base and refuses any other base
+                        # with a negative exponent
+                        try:
+                            f = Power(f, n)
+                        except ValueError as exc:
+                            self.fail(str(exc), i, 5)
                     i += 1
                     x = toks[i]
-                    if f is None:
-                        p, q = p**n, q**n
-                    else:
-                        f = f**n if type(f) is Fraction else Power(f, n)
                 elif x[8] == "^":
-                    self.fail("expected an integer", i + 1)
+                    # past a '-' after the '^': the sign is part of the exponent
+                    self.fail("expected an integer", i + 1 + (toks[i + 1][8] == "-"))
                 if f is None:
                     num *= p
                     den *= q
@@ -235,10 +251,9 @@ class _Parser:
             i += 1
         if len(terms) == 1 and not terms[0][1]:
             return terms[0][0], i
-        return make_sum(
-            (c, cores[0] if len(cores) == 1 else Product(cores) if cores else Scalar(1))
-            for c, cores in terms
-        ), i
+        s = Sum((c, Product(cores) if cores else Scalar(1)) for c, cores in terms)
+        weight(s)  # raises WeightMismatch on mixed weights
+        return s, i
 
     def atom(self, i):
         """The atom at token i, which is not a number; sum reads the calls
@@ -344,7 +359,7 @@ class _Parser:
 
 def _as_node(e) -> FormExpr:
     """A parsed value as a node: a number becomes a Scalar."""
-    return Scalar(e) if isinstance(e, Fraction) else e
+    return Scalar(e) if type(e) is Fraction else e
 
 
 def parse_expr(src: str) -> FormExpr:

@@ -22,14 +22,29 @@ keeps as plain ints in a fixed unit:
   way (min over sums, sum over products).  It is what makes high-valuation
   products cheap to expand.
 
-A product or power of eta quotients is one eta quotient, and the
-constructors say so: Power(EtaAtom, n) with n >= 1 is the EtaAtom of the
-scaled quotient, and a Product merges its EtaAtom factors into one, placed
-where the first of them stood (the merged atom itself when no other factor
-is left).  As each child is built folded, nested powers and products fold
-too, so eta(1)^24, (eta(1)^2)^12 and Delta(1)'s quotient are one node, and
-no later stage needs to know the rule.  Eta factors inside a separately
-parenthesized product are not merged.
+Construction is canonical: each constructor returns the node of the
+canonical form of what it is given, so one form is one node, and no later
+stage needs to know a rule.  These are the rules, and the only place they
+are applied:
+
+* Sum: a term c*(d*f), its expression a one-term Sum, is the term (c*d)*f;
+  a term c*v, its expression a Scalar v, is (c*v)*1; a lone term 1*f is f,
+  and a lone term c*1 is Scalar(c).
+* Product: a Product among the factors is flattened into them; Scalar
+  factors multiply out into the coefficient of a one-term Sum around the
+  rest; the EtaAtom factors merge into one, placed where the first of them
+  stood, or dropped when their quotient cancels; one factor left is that
+  factor.
+* Power: an EtaAtom base to any int exponent is the EtaAtom of the scaled
+  quotient; any other base with a negative exponent raises ValueError; ^0
+  is Scalar(1), ^1 the base, and a Scalar base gives the Scalar of the
+  power.
+* EtaAtom: the empty quotient is Scalar(1).
+
+As each child is built canonical, nested powers and products fold too:
+eta(1)^24, (eta(1)^2)^12 and Delta(1)'s quotient are one node, and so are
+(E4*eta(1))*eta(23) and E4*eta(1)*eta(23).  Trees that mix weights under a
+sum are still built; weight() names the sum that mixes them.
 
 Each node class states its facts in one rule, its _facts method: an atom
 from its fields, Sum, Product, Power and HalfTwist from their children's
@@ -38,9 +53,10 @@ so building a tree costs nothing for them and every later read is a slot
 read.  A new node fact is one more value of _facts, kept in one more slot.
 The public weight(e) and val_lower(e) turn the ints into exact Fractions.
 
-print_expr renders a tree in the same grammar the CLI parses, so
-parse(print_expr(e)) round-trips for trees made of grammar constructs; each
-class gives its printed form in its _print method.
+print_expr renders a tree in the same grammar the CLI parses, and the parse
+of that text is the node itself for every tree of one weight, since the
+parser builds through the same constructors; each class gives its printed
+form in its _print method.
 """
 
 from __future__ import annotations
@@ -114,10 +130,8 @@ class FormExpr:
     * _facts(): (_weight, _lower), from its fields or its children's facts;
     * _print(): (text, precedence level) in the CLI grammar;
     and each class with children gives _mixed(), the message naming the
-    first sum under it that mixes weights, depth first.  A Product holds at
-    most one EtaAtom factor and a Power never has an EtaAtom base, save
-    for exponent 0: their constructors fold eta quotients (module
-    docstring)."""
+    first sum under it that mixes weights, depth first.  Each constructor
+    returns the canonical node of what it is given (module docstring)."""
 
     __slots__ = ("_key", "_hash", "_weight", "_lower", "__weakref__")
     _fields = ()
@@ -262,18 +276,18 @@ class EtaAtom(FormExpr):
     def __new__(cls, quotient):
         if not isinstance(quotient, EtaQuotient):
             quotient = EtaQuotient(quotient)
-        return _node((cls, quotient))
+        return _node((cls, quotient)) if quotient.factors else Scalar(1)
 
     def _facts(self):
         q = self.quotient
         return int(2 * q.weight), int(24 * q.lead_exponent)
 
     def _print(self):
-        # the empty quotient and a lone eta(m) are atoms, anything else binds
-        # as a power: among a product's factors the parser reads a quotient
-        # of several factors back as this atom, since Product merges them
+        # a lone eta(m) is an atom, anything else binds as a power: among a
+        # product's factors the parser reads a quotient of several factors
+        # back as this atom, since Product merges them
         fs = self.quotient.factors
-        atom = len(fs) < 2 and all(e == 1 for _, e in fs)
+        atom = len(fs) == 1 and fs[0][1] == 1
         return str(self.quotient), _LVL_ATOM if atom else _LVL_POW
 
 
@@ -327,13 +341,23 @@ class Sum(FormExpr):
     __slots__ = _fields = ("terms",)
 
     def __new__(cls, terms):
-        items = tuple((_as_fraction(c), e) for c, e in terms)
+        items = []
+        for c, e in terms:
+            c = _as_fraction(c)
+            if type(e) is Sum and len(e.terms) == 1:
+                c, e = c * e.terms[0][0], e.terms[0][1]
+            elif type(e) is Scalar and e.value != 1:
+                c, e = c * e.value, Scalar(1)
+            elif not isinstance(e, FormExpr):
+                raise TypeError(f"sum term {e!r} is not a FormExpr")
+            items.append((c, e))
         if not items:
             raise ValueError("empty sum")
-        for _, e in items:
-            if not isinstance(e, FormExpr):
-                raise TypeError(f"sum term {e!r} is not a FormExpr")
-        return _node((cls, items))
+        if len(items) == 1:
+            c, e = items[0]
+            if c == 1 or type(e) is Scalar:  # Scalar(1), as the loop made it
+                return e if c == 1 else Scalar(c)
+        return _node((cls, tuple(items)))
 
     def _facts(self):
         # one weight, or None when the terms differ or one of them is None
@@ -359,8 +383,9 @@ class Sum(FormExpr):
 
 
 class Product(FormExpr):
-    """Product of a nonempty tuple of factors (weights add); its EtaAtom
-    factors are merged into one, where the first of them stood."""
+    """Product of a tuple of at least two factors (weights add), none of
+    them a Scalar or a Product and at most one an EtaAtom (module
+    docstring)."""
 
     __slots__ = _fields = ("factors",)
 
@@ -368,18 +393,34 @@ class Product(FormExpr):
         items = tuple(factors)
         if not items:
             raise ValueError("empty product")
-        for e in items:
-            if not isinstance(e, FormExpr):
-                raise TypeError(f"product factor {e!r} is not a FormExpr")
-        if EtaAtom in map(type, items):
-            eta = EtaAtom([p for e in items if type(e) is EtaAtom for p in e.quotient.factors])
-            rest = [e for e in items if type(e) is not EtaAtom]
-            if not rest:
-                return eta
-            # every factor before the first eta atom is in rest, in place
-            i = [*map(type, items)].index(EtaAtom)
-            items = (*rest[:i], eta, *rest[i:])
-        return _node((cls, items))
+        c = 1
+        # the factor types alone find the common case, nothing to fold
+        if not _PLAIN.issuperset(map(type, items)):
+            kinds = {*map(type, items)}
+            if Product in kinds:
+                flat = []
+                for e in items:
+                    flat += e.factors if type(e) is Product else (e,)
+                items, kinds = tuple(flat), {*map(type, flat)}
+            for e in items:
+                if not isinstance(e, FormExpr):
+                    raise TypeError(f"product factor {e!r} is not a FormExpr")
+            if Scalar in kinds:
+                for e in items:
+                    if type(e) is Scalar:
+                        c *= e.value
+                items = tuple(e for e in items if type(e) is not Scalar)
+            if EtaAtom in kinds:
+                eta = EtaAtom([p for e in items if type(e) is EtaAtom for p in e.quotient.factors])
+                rest = [e for e in items if type(e) is not EtaAtom]
+                # every factor before the first eta atom is in rest, in place;
+                # a quotient that cancels is the Scalar 1, and goes
+                i = [*map(type, items)].index(EtaAtom)
+                items = (*rest[:i], eta, *rest[i:]) if type(eta) is EtaAtom else tuple(rest)
+            if not items:
+                return Scalar(c)
+        node = items[0] if len(items) == 1 else _node((cls, items))
+        return node if c == 1 else Sum(((c, node),))
 
     def _facts(self):
         ws = [f._weight for f in self.factors]
@@ -393,18 +434,24 @@ class Product(FormExpr):
 
 
 class Power(FormExpr):
-    """Nonnegative integer power of a base expression; a positive power of
-    an EtaAtom is the EtaAtom of the scaled quotient."""
+    """Integer power, at least 2, of a base that is neither a Scalar nor an
+    EtaAtom (module docstring)."""
 
     __slots__ = _fields = ("base", "exponent")
 
     def __new__(cls, base, exponent):
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError(f"power exponent must be a nonnegative int, got {exponent!r}")
+        if type(exponent) is not int:
+            raise ValueError(f"power exponent must be an int, got {exponent!r}")
         if not isinstance(base, FormExpr):
             raise TypeError(f"power base {base!r} is not a FormExpr")
-        if type(base) is EtaAtom and exponent:
+        if type(base) is EtaAtom:
             return EtaAtom([(m, e * exponent) for m, e in base.quotient.factors])
+        if exponent < 0:
+            raise ValueError(f"negative exponent {exponent} on a base that is not an eta quotient")
+        if exponent < 2:
+            return base if exponent else Scalar(1)
+        if type(base) is Scalar:
+            return Scalar(base.value**exponent)
         return _node((cls, base, exponent))
 
     def _facts(self):
@@ -440,6 +487,12 @@ class HalfTwist(FormExpr):
         return f"twist({self.child._print()[0]})", _LVL_ATOM
 
 
+# The node classes a Product keeps as they are among its factors; a factor
+# of any other type (a Product, a Scalar, an EtaAtom, or not a node at all)
+# sends Product.__new__ down its folding path.
+_PLAIN = frozenset((GeneratorRef, DeltaRef, WpAtom, WptAtom, EisensteinAtom, PhiAtom, Sum, Power, HalfTwist))
+
+
 # ---------------------------------------------------------------------------
 # static queries
 # ---------------------------------------------------------------------------
@@ -464,38 +517,6 @@ def val_lower(e: FormExpr) -> Fraction:
     (min over sum terms, sum over product factors), which stays a sound
     bound even when cancellation raises the true valuation."""
     return Fraction(e._lower, 24)
-
-
-# ---------------------------------------------------------------------------
-# canonicalizing factories
-# ---------------------------------------------------------------------------
-
-
-def make_sum(terms) -> FormExpr:
-    """Sum of (coeff, expr) terms with a weight check; a single term with
-    coefficient 1 collapses to the bare expression; no terms raise
-    ValueError."""
-    items = list(terms)
-    s = items[0][1] if len(items) == 1 and items[0][0] == 1 else Sum(items)
-    weight(s)  # raises WeightMismatch on mixed weights
-    return s
-
-
-def make_product(factors) -> FormExpr:
-    items = list(factors)
-    if not items:
-        return Scalar(1)
-    if len(items) == 1:
-        return items[0]
-    return Product(items)
-
-
-def make_power(base: FormExpr, n: int) -> FormExpr:
-    if n == 0:
-        return Scalar(1)
-    if n == 1:
-        return base
-    return Power(base, n)
 
 
 # ---------------------------------------------------------------------------

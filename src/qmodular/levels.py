@@ -64,8 +64,6 @@ from .expr import (
     Sum,
     WpAtom,
     WptAtom,
-    make_power,
-    make_product,
     print_expr,
 )
 from .qseries import HALF, QSeries, _as_fraction, constant_series, lincomb, zero_series
@@ -116,18 +114,13 @@ def _eisenstein_head(wt: int) -> FormExpr:
     j = wt // 2
     assert j >= 2
     if j % 2 == 0:
-        return make_power(EisensteinAtom(4, 1), j // 2)
-    if j == 3:
-        return EisensteinAtom(6, 1)
-    return Product((make_power(EisensteinAtom(4, 1), (j - 3) // 2), EisensteinAtom(6, 1)))
+        return Power(EisensteinAtom(4, 1), j // 2)
+    return Product((Power(EisensteinAtom(4, 1), (j - 3) // 2), EisensteinAtom(6, 1)))
 
 
 def _poly(x: FormExpr, y: FormExpr, coeffs) -> Sum:
     """sum over (c, i, j) of c * x^i * y^j."""
-    return Sum(
-        (c, make_product([make_power(b, k) for b, k in ((x, i), (y, j)) if k]))
-        for c, i, j in coeffs
-    )
+    return Sum((c, Product((Power(x, i), Power(y, j)))) for c, i, j in coeffs)
 
 
 def _sym(x: FormExpr, y: FormExpr, scale=1) -> Sum:
@@ -468,8 +461,6 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
         return acc
     if isinstance(e, Power):
         n, base = e.exponent, e.base
-        if n == 0:
-            return constant_series(1, top)
         low = base._lower
         slack = bound - n * low
         t = _expand(base, slack + low, cache)
@@ -555,11 +546,8 @@ def _with_delta(level: int, b: int, core: FormExpr) -> FormExpr:
     if b == 0:
         return core
     if core == DeltaRef(level):
-        return make_power(DeltaRef(level), b + 1)
-    d = make_power(DeltaRef(level), b)
-    if isinstance(core, Product):
-        return Product((d,) + core.factors)
-    return Product((d, core))
+        return Power(DeltaRef(level), b + 1)
+    return Product((Power(DeltaRef(level), b), core))
 
 
 def _row_element(level: int, wt: int, index: int) -> FormExpr:
@@ -590,13 +578,9 @@ def basis_skeleton(level: int, wt: int):
     g = GeneratorRef(level, 2, 0)
     while ww > rho:
         # level 1 has no weight-2 generator g, and nu = 1
-        heads = [_eisenstein_head(ww) if level == 1 else make_power(g, ww // 2)]
+        heads = [_eisenstein_head(ww) if level == 1 else Power(g, ww // 2)]
         for s in range(1, nu):
-            heads.append(
-                make_product(
-                    [GeneratorRef(level, rho, s), make_power(g, (ww - rho) // 2)]
-                )
-            )
+            heads.append(Product((GeneratorRef(level, rho, s), Power(g, (ww - rho) // 2))))
         for h in heads:
             out.append(_with_delta(level, b, h))
         b += 1

@@ -169,8 +169,6 @@ def _expand_node(e, bound, cache):
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
-        if e.exponent == 0:
-            return constant_series(1, bound)
         lo = val_lower(e.base)
         t = _expand(e.base, bound - (e.exponent - 1) * lo, cache)
         return t.pow(e.exponent)

@@ -3,10 +3,12 @@ test cli.parse_expr against.
 
 A lexer that walks the source one character at a time into (kind, text,
 position) triples, and a recursive descent that calls peek/eat_op per
-token and finds every position as it goes.  Two changes from that parser,
-both made in cli.parse_expr too: an int token is a run of isdecimal
-characters (isdigit let '²' in, which int() then refused), and an integer
-literal longer than int() converts raises a ParseError at its position.
+token and finds every position as it goes.  Three changes from that
+parser, all made in cli.parse_expr too: an int token is a run of isdecimal
+characters (isdigit let '²' in, which int() then refused), an integer
+literal longer than int() converts raises a ParseError at its position, and
+an exponent may be negative ('^' '-' int), which Power takes on an eta base
+and refuses on any other.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from qmodular.expr import (
     Power,
     Product,
     Scalar,
+    Sum,
     WpAtom,
     WptAtom,
-    make_sum,
+    weight,
 )
 from qmodular.levels import _resolve_ref
 
@@ -129,7 +132,9 @@ class _Parser:
                 break
         if len(terms) == 1 and terms[0][1] is None:
             return terms[0][0]
-        return make_sum((c, Scalar(1) if core is None else core) for c, core in terms)
+        s = Sum((c, Scalar(1) if core is None else core) for c, core in terms)
+        weight(s)  # raises WeightMismatch on mixed weights
+        return s
 
     def parse_term(self, sign: int):
         """(coefficient, core) of one term; the core is None when every
@@ -144,19 +149,25 @@ class _Parser:
                 cores.append(f)
             if not self.eat_op("*"):
                 break
-        if not cores:
-            return (coeff, None)
-        core = cores[0] if len(cores) == 1 else Product(cores)
-        return (coeff, core)
+        return (coeff, Product(cores) if cores else None)
 
     def parse_factor(self) -> FormExpr | Fraction:
         base = self.parse_atom()
-        if self.eat_op("^"):
-            n = self.expect_capped_int("exponent", _MAX_EXPONENT)
-            if isinstance(base, Fraction):
-                return base**n
-            return Power(base, n)
-        return base
+        if not self.eat_op("^"):
+            return base
+        pos = self.peek()[2]
+        sign = -1 if self.eat_op("-") else 1
+        n = sign * self.expect_int()
+        if abs(n) > _MAX_EXPONENT:
+            self.fail(f"exponent {n} exceeds the cap {_MAX_EXPONENT}", pos)
+        if n == 0:
+            return Fraction(1)
+        if isinstance(base, Fraction) and n > 0:
+            return base**n
+        try:
+            return Power(_as_node(base), n)
+        except ValueError as exc:
+            self.fail(str(exc), pos)
 
     def parse_rational(self) -> Fraction:
         sign = -1 if self.eat_op("-") else 1

@@ -4,6 +4,7 @@ frozen command outputs, JSON payload shapes, and exit codes."""
 import contextlib
 import io
 import json
+import os
 import random
 import shlex
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmodular import cli, identities
+from qmodular import cli, identities, levels
 from qmodular.cli import main, parse_expr
 from qmodular.errors import ParseError, QModularError
 from qmodular.expr import (
@@ -33,7 +34,7 @@ from qmodular.expr import (
     print_expr,
     weight,
 )
-from qmodular.eta import EtaQuotient
+from qmodular.eta import EtaQuotient, level_unit
 from qmodular.identities import IdentityCase
 from qmodular.levels import basis_skeleton, dimension, expand_expr
 from qmodular.qseries import HALF
@@ -247,9 +248,8 @@ def test_parse_matches_the_oracle_parser_on_piece_pairs():
 # ---------------------------------------------------------------------------
 
 def eta(m, k=1):
-    """eta(m)^k in the shape the parser builds: the bare atom when k is 1."""
-    atom = EtaAtom(((m, 1),))
-    return atom if k == 1 else Power(atom, k)
+    """eta(m)^k."""
+    return Power(EtaAtom(((m, 1),)), k)
 
 
 ATOM_POOL = {
@@ -334,13 +334,16 @@ def test_eta_quotients_print_in_the_grammar():
         ([(1, 8), (2, 8)], "eta(1)^8*eta(2)^8"),
         ([(1, 24)], "eta(1)^24"),
         ([(9, 1), (1, 3)], "eta(1)^3*eta(9)"),
+        ([(1, -8), (2, 16)], "eta(1)^-8*eta(2)^16"),
     ]:
         atom = EtaAtom(EtaQuotient(quotient))
         assert print_expr(atom) == text
         back = parse_expr(text)
         assert print_expr(back) == text and weight(back) == weight(atom)
         assert expand_expr(back, 12) == expand_expr(atom, 12)
-    # a positive power of a quotient is the scaled quotient
+    # the empty quotient is the Scalar 1, which prints as the literal
+    assert EtaAtom(EtaQuotient([])) is Scalar(1) is parse_expr(print_expr(Scalar(1)))
+    # a power of a quotient is the scaled quotient
     product = EtaAtom(EtaQuotient([(1, 4), (2, 4)]))
     assert print_expr(Power(product, 2)) == "eta(1)^8*eta(2)^8"
     assert print_expr(Sum([(-2, product)])) == "-2*eta(1)^4*eta(2)^4"
@@ -358,18 +361,132 @@ def test_eta_quotients_print_in_the_grammar():
         ("(eta(1)^2)^12", "Delta(1)"),
         ("((eta(1)^3)^2)^4", "Delta(1)"),
         ("(eta(1)*eta(2))^8", "eta(1)^8*eta(2)^8"),
+        ("(eta(1)*E4)*eta(23)", "eta(1)*E4*eta(23)"),
+        ("eta(1)^-8*eta(2)^16", "Delta(2)"),
+        ("(eta(2)^-1)^-16*eta(1)^-8", "Delta(2)"),
     ],
 )
 def test_nested_eta_powers_expand_as_their_quotient(nested, flat):
     # each inner power or product is folded as it is built, so the leading
-    # exponents 1/12 and 1/8 of the inner nodes are never expanded
+    # exponents 1/12, 1/8 and 1/24 of the inner nodes are never expanded
     want = run("expand", "--expr", flat, "--prec", "30")
     assert want[0] == 0
     assert run("expand", "--expr", nested, "--prec", "30") == want
 
 
+def test_registered_forms_parse_back_to_themselves():
+    # every registry row, both sides of every identity, and every basis
+    # element of the spaces N <= 10, weight <= 40, as the node itself
+    forms = [e for row in levels._REGISTRY.values() for e in row]
+    forms += [e for case in identities.REGISTRY.values() for e in (case.lhs, case.rhs)]
+    assert len(identities.REGISTRY) == 37
+    for n in range(1, 11):
+        for w in range(2, 41, 2):
+            if dimension(n, w):
+                forms += basis_skeleton(n, w)
+    for e in forms:
+        assert parse_expr(print_expr(e)) is e, print_expr(e)
+
+
+def torsion_atom(make, a, b, m):
+    """make(a, b, m), or None outside its domain."""
+    try:
+        return make(a, b, m)
+    except (QModularError, ValueError):
+        return None
+
+
+TORSION = [
+    x
+    for make in (WpAtom, WptAtom)
+    for m in range(1, 7)
+    for a in range(-m, 2 * m)
+    for b in (0, HALF)
+    if (x := torsion_atom(make, Fraction(a, 2), b, m)) is not None
+]
+
+
+def atoms_by_weight():
+    """Every kind of atom within the CLI caps, by twice its weight: torsion
+    values, Phi in both presentations, the level units, the registered
+    generators (the level-1 heads above weight 12 too) and E_k with k up to
+    the cap.  forms draws eta quotients and Scalars apart, at any weight."""
+    out = {4: [*TORSION, *(PhiAtom(n, mode) for n in range(2, 11) for mode in ("weierstrass", "divisor"))]}
+    for n in range(1, 11):
+        out.setdefault(2 * level_unit(n).rho, []).append(DeltaRef(n))
+    for (n, w), row in levels._REGISTRY.items():
+        out.setdefault(2 * w, []).extend(GeneratorRef(n, w, s) for s in range(len(row)))
+    for k in range(4, cli._MAX_WEIGHT + 1, 2):
+        out.setdefault(2 * k, []).extend([EisensteinAtom(k, 1), EisensteinAtom(k, 3)])
+        if k > 12:
+            out[2 * k].append(GeneratorRef(1, k, 0))
+    return out
+
+
+ATOMS_BY_WEIGHT = atoms_by_weight()
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def eta_atoms(draw, w2):
+    """An eta quotient of twice-weight w2: exponents of either sign, its
+    last one set so that they add up to w2; the empty quotient at w2 = 0
+    (the Scalar 1) among them."""
+    factors = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(-6, 6)), max_size=3))
+    m = draw(st.integers(1, 12))
+    return EtaAtom([*factors, (m, w2 - sum(e for _, e in factors))])
+
+
+@st.composite
+def forms(draw, w2, depth):
+    """A tree of twice-weight w2 built through the constructors: sums of
+    one weight, products whose factors' weights add to w2 (Scalars among
+    them), powers from -3 to 4 (negative on eta bases only, 0 on a base of
+    any weight) and twists."""
+    kinds = ["eta"]
+    if w2 == 0:
+        kinds.append("scalar")
+    elif w2 in ATOMS_BY_WEIGHT:
+        kinds.append("atom")
+    if depth:
+        kinds += ["sum", "product", "power", "twist"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "eta":
+        return draw(eta_atoms(w2))
+    if kind == "scalar":
+        return Scalar(draw(coefficients))
+    if kind == "atom":
+        return draw(st.sampled_from(ATOMS_BY_WEIGHT[w2]))
+    if kind == "twist":
+        return HalfTwist(draw(forms(w2, depth - 1)))
+    if kind == "sum":
+        n = draw(st.integers(1, 3))
+        return Sum([(draw(coefficients), draw(forms(w2, depth - 1))) for _ in range(n)])
+    if kind == "product":
+        cuts = sorted(draw(st.lists(st.integers(0, w2), min_size=0, max_size=2)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, w2])]
+        return Product([draw(forms(part, depth - 1)) for part in parts])
+    n = draw(st.sampled_from([d for d in (-3, -2, -1, 1, 2, 3, 4) if w2 % d == 0] + [0] * (w2 == 0)))
+    if n == 0:
+        return Power(draw(forms(2 * draw(st.integers(0, 6)), depth - 1)), 0)
+    if n < 0:
+        # the empty quotient is the Scalar 1, which takes no negative power
+        return Power(draw(eta_atoms(w2 // n).filter(lambda e: type(e) is EtaAtom)), n)
+    return Power(draw(forms(w2 // n, depth - 1)), n)
+
+
+# CI runs this property again at about 5 000 examples
+ROUND_TRIP_EXAMPLES = int(os.environ.get("QMODULAR_ROUND_TRIP_EXAMPLES", "60"))
+
+
+@settings(max_examples=ROUND_TRIP_EXAMPLES, deadline=None)
+@given(st.sampled_from([0, 1, 4, 8, 12, 24, 40, 2 * cli._MAX_WEIGHT]).flatmap(lambda w2: forms(w2, 4)))
+def test_round_trip_property_on_constructor_built_trees(e):
+    assert parse_expr(print_expr(e)) is e, print_expr(e)
+
+
 def test_structural_round_trip_on_plain_trees():
-    # trees without scalar folding or single-term sums return identically
     rng = random.Random(77)
     for _ in range(60):
         t = random_tree(rng, rng.choice([2, 4]), 2)
@@ -767,6 +884,15 @@ def test_exit_code_exponent_cap():
     assert err == f"error: exponent {cap + 1} exceeds the cap {cap} (at position 9)\n"
     code, out, err = run("expand", "--expr", f"2^{cap + 1}")
     assert code == 2 and out == "" and err.count("\n") == 1
+    # a negative exponent: capped in size, and taken on an eta base only
+    assert parse_expr(f"eta(1)^-{cap}") is EtaAtom([(1, -cap)])
+    for src, message in [
+        (f"eta(1)^-{cap + 1}", f"exponent {-cap - 1} exceeds the cap {cap} (at position 7)"),
+        ("Delta(1)^-1", "negative exponent -1 on a base that is not an eta quotient (at position 9)"),
+        ("2^ - 1*E4", "negative exponent -1 on a base that is not an eta quotient (at position 3)"),
+        ("E4^-x", "expected an integer (at position 4)"),
+    ]:
+        assert run("expand", "--expr", src, "--prec", "3") == (2, "", f"error: {message}\n")
 
 
 def test_exit_code_weight_cap():

@@ -103,8 +103,6 @@ def uncached_expand(e: FormExpr, bound: Fraction):
             acc = t if acc is None else acc * t
         return acc
     if isinstance(e, Power):
-        if e.exponent == 0:
-            return constant_series(1, bound)
         lo = val_lower(e.base)
         t = uncached_expand(e.base, bound - (e.exponent - 1) * lo)
         return t.pow(e.exponent)

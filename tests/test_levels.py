@@ -40,9 +40,6 @@ from qmodular.expr import (
     Sum,
     WpAtom,
     WptAtom,
-    make_power,
-    make_product,
-    make_sum,
     print_expr,
     val_lower,
     weight,
@@ -105,8 +102,6 @@ def test_mixed_weight_sum_rejected():
         with pytest.raises(WeightMismatch):
             weight(bad)
         with pytest.raises(WeightMismatch):
-            make_sum([(Fraction(1), WpAtom(1, 0, 2)), (Fraction(1), DeltaRef(2))])
-        with pytest.raises(WeightMismatch):
             parse_expr("wp(1,0,2) + Delta(2)")
     assert val_lower(bad) == 0
     # a mixed sum under a product, a power, a twist or a sum term: the
@@ -153,18 +148,42 @@ def test_valuation_floors():
 
 
 def test_factories_collapse():
-    x = WpAtom(1, 0, 2)
-    assert make_power(x, 0) == Scalar(1)
-    assert make_power(x, 1) is x
-    assert make_product([]) == Scalar(1)
-    assert make_product([x]) is x
-    assert make_sum([(Fraction(1), x)]) is x
-    s = make_sum([(Fraction(2), x)])
+    # the canonical rules, each applied by the constructor of its node
+    x, y = WpAtom(1, 0, 2), DeltaRef(2)
+    assert Power(x, 0) is Scalar(1)
+    assert Power(x, 1) is x
+    assert Power(Scalar(Fraction(2, 3)), 3) is Scalar(Fraction(8, 27))
+    assert Product([x]) is x
+    assert Sum([(Fraction(1), x)]) is x
+    s = Sum([(Fraction(2), x)])
     assert isinstance(s, Sum) and s.terms == ((Fraction(2), x),)
     with pytest.raises(ValueError):
-        make_sum([])
+        Sum([])
     with pytest.raises(ValueError):
-        make_power(x, -1)
+        Product([])
+    with pytest.raises(ValueError, match="^negative exponent -1 "):
+        Power(x, -1)
+    with pytest.raises(ValueError, match="^negative exponent -2 "):
+        Power(Scalar(2), -2)
+    # Sum: a one-term sum term and a Scalar term fold into the coefficient
+    assert Sum([(3, s), (1, y)]) is Sum([(6, x), (1, y)])
+    assert Sum([(3, Scalar(Fraction(1, 2))), (1, y)]) is Sum([(Fraction(3, 2), Scalar(1)), (1, y)])
+    assert Sum([(Fraction(1, 2), s)]) is x
+    assert Sum([(3, Scalar(2))]) is Scalar(6)
+    # Product: nested products flatten, Scalars multiply out into a one-term
+    # sum, and eta factors merge, or go when their quotient cancels
+    assert Product([Product([x, y]), x]) is Product([x, y, x])
+    assert Product([Scalar(2), x, Scalar(3)]) is Sum([(6, x)])
+    assert Product([Scalar(2), x, y]) is Sum([(2, Product([x, y]))])
+    assert Product([Scalar(2), Scalar(3)]) is Scalar(6)
+    eta1, eta2 = EtaAtom([(1, 1)]), EtaAtom([(2, 1)])
+    assert Product([Product([eta1, x]), eta2]) is Product([EtaAtom([(1, 1), (2, 1)]), x])
+    assert Product([x, eta1, Power(eta1, -1)]) is x
+    assert Product([eta1, Power(eta1, -1)]) is Scalar(1)
+    # Power and EtaAtom: an eta base folds at every exponent, the empty
+    # quotient is 1
+    assert Power(eta1, -8) is EtaAtom([(1, -8)])
+    assert Power(eta1, 0) is Scalar(1) is EtaAtom([])
 
 
 def test_print_expr_frozen_strings():
@@ -189,7 +208,7 @@ def test_print_expr_frozen_strings():
     two_term = Sum(((Fraction(1), WpAtom(1, 0, 7)), (Fraction(-1, 8), WpAtom(2, 0, 7))))
     assert print_expr(two_term) == "wp(1,0,7) - 1/8*wp(2,0,7)"
     # a sum raised to a power needs parentheses
-    p = Power(make_sum([(Fraction(1), WpAtom(1, 0, 5)), (Fraction(1), WpAtom(2, 0, 5))]), 2)
+    p = Power(Sum([(Fraction(1), WpAtom(1, 0, 5)), (Fraction(1), WpAtom(2, 0, 5))]), 2)
     assert print_expr(p) == "(wp(1,0,5) + wp(2,0,5))^2"
 
 
@@ -438,7 +457,7 @@ def _skeleton_level_one(wt: int):
     for n in range(top + 1):
         out.append(levels._with_delta(1, n, levels._eisenstein_head(wt - 12 * n)))
     if r == 6:
-        out.append(make_power(DeltaRef(1), q + 1))
+        out.append(Power(DeltaRef(1), q + 1))
     return out
 
 
@@ -500,7 +519,7 @@ def test_expand_expr_precision_consistency():
         Sum(((Fraction(2, 3), EisensteinAtom(4, 5)), (Fraction(1, 3), EisensteinAtom(4, 1)))),
         PhiAtom(7),
         PhiAtom(7, "divisor"),
-        Power(make_sum([(Fraction(1), WpAtom(1, 0, 5)), (Fraction(1), WpAtom(2, 0, 5))]), 3),
+        Power(Sum([(Fraction(1), WpAtom(1, 0, 5)), (Fraction(1), WpAtom(2, 0, 5))]), 3),
         Product((DeltaRef(9), GeneratorRef(9, 2, 1), GeneratorRef(9, 2, 2))),
     ]
     for ex in catalog:
