@@ -213,7 +213,7 @@ class _Parser:
                     if abs(n) > _MAX_EXPONENT:
                         self.fail(f"exponent {n} exceeds the cap {_MAX_EXPONENT}", i, 5)
                     if n < 0 and (f is None or type(f) is Fraction):
-                        f = Scalar(Fraction(p, q) if f is None else f)  # Power refuses it
+                        f = Scalar(Fraction(p, q) if f is None else f)  # Power folds it
                     if n == 0:
                         f, p, q = None, 1, 1
                     elif f is None:
@@ -221,8 +221,8 @@ class _Parser:
                     elif type(f) is Fraction:
                         f = f**n
                     else:
-                        # Power folds an eta base and refuses any other base
-                        # with a negative exponent
+                        # Power folds an eta or a scalar base and refuses
+                        # any other base, and zero, with a negative exponent
                         try:
                             f = Power(f, n)
                         except ValueError as exc:

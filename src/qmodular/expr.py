@@ -36,9 +36,11 @@ are applied:
   stood, or dropped when their quotient cancels; one factor left is that
   factor.
 * Power: an EtaAtom base to any int exponent is the EtaAtom of the scaled
-  quotient; any other base with a negative exponent raises ValueError; ^0
-  is Scalar(1), ^1 the base, and a Scalar base gives the Scalar of the
-  power.
+  quotient; a Scalar base to any int exponent is the Scalar of the power,
+  and Scalar(0) to a negative one raises ValueError, so the empty quotient
+  Scalar(1) takes every exponent as an eta quotient does; any other base
+  with a negative exponent raises ValueError; ^0 is Scalar(1) and ^1 the
+  base.
 * EtaAtom: the empty quotient is Scalar(1).
 
 As each child is built canonical, nested powers and products fold too:
@@ -446,12 +448,14 @@ class Power(FormExpr):
             raise TypeError(f"power base {base!r} is not a FormExpr")
         if type(base) is EtaAtom:
             return EtaAtom([(m, e * exponent) for m, e in base.quotient.factors])
+        if type(base) is Scalar:
+            if exponent < 0 and not base.value:
+                raise ValueError(f"negative exponent {exponent} on zero")
+            return Scalar(base.value**exponent)
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent} on a base that is not an eta quotient")
         if exponent < 2:
             return base if exponent else Scalar(1)
-        if type(base) is Scalar:
-            return Scalar(base.value**exponent)
         return _node((cls, base, exponent))
 
     def _facts(self):

@@ -30,6 +30,13 @@ t (their stride), and no path multiplies the zero slots between them.  A
 product splits the other operand into its t residue sections and
 multiplies each by the compressed list; a power, and a quotient of two
 series in q^t, work on the compressed lists and spread the result back.
+
+Divisor sums sum_{d|n} chi(n/d) psi(d) d^(k-1), for periodic chi and psi,
+come from one sieve, divisor_sums, in O(n log n) with no product and no
+division: several such sums at once, merged by residue class before the
+sieve.  eta expands eight of the ten level units Delta_N from it.
+sigma_series, its case chi = psi = 1 with one term, keeps a loop of its
+own, which is faster at the lengths the Eisenstein series take.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 
 from .errors import (
     FractionalExponent,
@@ -696,11 +703,83 @@ def constant_series(value, prec) -> QSeries:
 # -- arithmetic generating series --------------------------------------------
 
 
+def divisor_sums(terms, n: int) -> list:
+    """The first n coefficients, from q^0, of the sum over the terms
+    (c, chi, psi, k, t) of c D(chi, psi, k, t), where
+
+        D(chi, psi, k, t) = sum_{j>=1} sum_{d|j} chi(j/d) psi(d) d^(k-1) q^(t j)
+
+    for int c, k >= 1 and t >= 1, and chi and psi each given as a tuple of
+    int values over one period (chi(x) = chi[x % len(chi)]).  The generalized
+    Eisenstein series of weight k with characters chi and psi is one such
+    sum plus a constant term.
+
+    A divisor sieve, with no product and no division.  Terms with one
+    (k, t) share one pass, in which the pair (d, m) adds w(m, d) d^(k-1) at
+    slot t d m, for w(m, d) = sum c chi(m) psi(d) over the pass's terms.
+    w depends only on m mod L and d mod L' (L and L' the lcm of the chi and
+    of the psi periods), so the terms are merged into one table before the
+    sieve, and a class whose merged w is 0 costs nothing: Delta_9's two
+    terms leave one class of m in three, and none when 3 | d.  The pairs
+    with d m <= top = (n - 1) // t split at S = isqrt(top // L), as in
+    Dirichlet's hyperbola method: each d <= S adds, per class r of m, the
+    constant w(r, d) d^(k-1) over the slots t d m with m = r mod L, and each
+    m <= top // (S + 1) adds the row d -> w(m, d) d^(k-1), d > S, over the
+    slots t m d.  Every pair lands once, in about S L + top / S slice
+    passes."""
+    out = [0] * n
+    passes = {}
+    for c, chi, psi, k, t in terms:
+        passes.setdefault((k, t), []).append((c, chi, psi))
+    for (k, t), group in passes.items():
+        top = (n - 1) // t
+        if top < 1:
+            continue
+        lc = math.lcm(*[len(chi) for _, chi, _ in group])
+        lp = math.lcm(*[len(psi) for _, _, psi in group])
+        # w[r][e] = w(m, d) for m = r mod lc and d = e mod lp
+        w = [[0] * lp for _ in range(lc)]
+        for c, chi, psi in group:
+            for r in range(lc):
+                for e in range(lp):
+                    w[r][e] += c * chi[r % len(chi)] * psi[e % len(psi)]
+        powers = list(map(pow, range(top + 1), repeat(k - 1)))
+        split = max(1, math.isqrt(top // lc))
+        for d in range(1, split + 1):
+            step = t * d
+            for r in range(1, min(lc, top // d) + 1):
+                v = w[r % lc][d % lp] * powers[d]
+                if v:
+                    at = slice(step * r, None, step * lc)
+                    out[at] = list(map(v.__add__, out[at]))
+        # rows[r][i] = w(m, d) d^(k-1) for m = r mod lc and d = split + 1 + i,
+        # built for the classes that the m side reaches
+        tail = powers[split + 1 :]
+        last = top // (split + 1)
+        rows = []
+        for ws in w[: last + 1]:
+            row = [0] * len(tail) if any(ws) else None
+            for e, x in enumerate(ws):
+                if x:
+                    first = (e - split - 1) % lp
+                    row[first::lp] = map(x.__mul__, tail[first::lp])
+            rows.append(row)
+        for m in range(1, last + 1):
+            row = rows[m % lc]
+            if row is not None:
+                step = t * m
+                at = slice(step * (split + 1), step * (top // m) + 1, step)
+                out[at] = list(map(operator.add, out[at], row))
+    return out
+
+
 def sigma_series(k: int, m: int, prec: int) -> QSeries:
     """Sum over n >= 1 of sigma_k(n) q^(m n), truncated below prec.
 
     sigma_k(n) is the sum of k-th powers of the positive divisors of n,
-    accumulated by a divisor sieve."""
+    accumulated by a divisor sieve: divisor_sums at chi = psi = 1, k + 1
+    and t = m, in a plain loop, which below q^400 runs up to twice as fast
+    as that call, and more below q^100 (CHANGES.md)."""
     if k < 0 or m < 1 or prec < 0:
         raise ValueError("sigma_series needs k >= 0, m >= 1, prec >= 0")
     top = (prec - 1) // m if prec > m else 0

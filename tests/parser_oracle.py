@@ -8,7 +8,7 @@ parser, all made in cli.parse_expr too: an int token is a run of isdecimal
 characters (isdigit let '²' in, which int() then refused), an integer
 literal longer than int() converts raises a ParseError at its position, and
 an exponent may be negative ('^' '-' int), which Power takes on an eta base
-and refuses on any other.
+or a nonzero scalar and refuses on any other.
 """
 
 from __future__ import annotations

@@ -884,15 +884,30 @@ def test_exit_code_exponent_cap():
     assert err == f"error: exponent {cap + 1} exceeds the cap {cap} (at position 9)\n"
     code, out, err = run("expand", "--expr", f"2^{cap + 1}")
     assert code == 2 and out == "" and err.count("\n") == 1
-    # a negative exponent: capped in size, and taken on an eta base only
+    # a negative exponent: capped in size, and taken on an eta or a nonzero
+    # scalar base only
     assert parse_expr(f"eta(1)^-{cap}") is EtaAtom([(1, -cap)])
     for src, message in [
         (f"eta(1)^-{cap + 1}", f"exponent {-cap - 1} exceeds the cap {cap} (at position 7)"),
         ("Delta(1)^-1", "negative exponent -1 on a base that is not an eta quotient (at position 9)"),
-        ("2^ - 1*E4", "negative exponent -1 on a base that is not an eta quotient (at position 3)"),
+        ("0^ - 1*E4", "negative exponent -1 on zero (at position 3)"),
         ("E4^-x", "expected an integer (at position 4)"),
     ]:
         assert run("expand", "--expr", src, "--prec", "3") == (2, "", f"error: {message}\n")
+
+
+def test_a_scalar_takes_a_negative_exponent_and_zero_refuses_one():
+    # the empty eta quotient is the scalar 1, so its inverse is 1 as well
+    e4 = run("expand", "--expr", "E4", "--prec", "3")
+    assert e4 == (0, "1 + 240q + 2160q^2 + O(q^3)\n", "")
+    assert run("expand", "--expr", "(eta(1)*eta(1)^-1)^-1*E4", "--prec", "3") == e4
+    assert parse_expr("(eta(1)*eta(1)^-1)^-1") is Scalar(1)
+    assert parse_expr("(2/3)^-2*E4") is parse_expr("9/4*E4")
+    assert run("expand", "--expr", "2^-1*E4", "--prec", "3") == (0, "1/2 + 120q + 1080q^2 + O(q^3)\n", "")
+    for src, at in [("0^-1*E4", 2), ("(eta(1)*eta(1)^-1 - 1)^2*E4 + (0)^-3*E4", 34)]:
+        code, out, err = run("expand", "--expr", src, "--prec", "3")
+        assert (code, out) == (2, "") and err.count("\n") == 1, src
+        assert err.startswith("error: negative exponent ") and err.endswith(f"on zero (at position {at})\n"), err
 
 
 def test_exit_code_weight_cap():

@@ -339,7 +339,8 @@ def test_a_quotient_with_no_factors_expands_to_one():
 def test_delta_kernels_stay_near_the_output_width(monkeypatch):
     """While Delta_N is expanded below q^1000, no operand or result of a
     series kernel is more than 8 bits wider than Delta_N's coefficients:
-    the route never inverts an Euler factor on its own."""
+    the division route never inverts an Euler factor on its own, and the
+    divisor-sum route's sums are at most Delta_N's times its divisor."""
     seen = []
 
     def width(xs):
@@ -360,11 +361,87 @@ def test_delta_kernels_stay_near_the_output_width(monkeypatch):
     spy(qseries, "_miller", lambda args, out: (args[0], out[0]))
     spy(qseries, "_divide", lambda args, out: (args[0], args[1], out))
     spy(eta, "_divide", lambda args, out: (args[0], args[1], out))
+    spy(eta, "divisor_sums", lambda args, out: (out,))
     for n in range(1, 11):
         seen.clear()
         f = delta(n, 1000)
         assert seen, n
         assert max(seen) <= width(f.nums) + 8, (n, max(seen), width(f.nums))
+
+
+# ---------------------------------------------------------------------------
+# the divisor-sum route against the division route
+# ---------------------------------------------------------------------------
+
+PRESENTED = [n for n, u in DELTA_TABLE.items() if u.terms]
+
+
+def division_route(quotient, bound):
+    """The quotient expanded by the division helper alone, as expand does
+    for a quotient with no divisor-sum presentation."""
+    s = quotient.lead_exponent
+    rel = math.ceil(Fraction(bound) - s)
+    if rel <= 0:
+        return zero_series(bound)
+    g = math.gcd(*[e for _, e in quotient.factors])
+    return eta._divided(quotient.factors, g, rel).pow(g).shift(s).truncate(bound)
+
+
+def sturm_bound(n):
+    """floor(rho mu(N) / 12) + 1 for Delta_N of weight rho, with mu(N) =
+    N prod_{p | N} (1 + 1/p) the index of Gamma_0(N): two forms of
+    M_rho(Gamma_0(N)) that agree below q^bound are equal (J. Sturm, 1987)."""
+    mu = Fraction(n)
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            mu *= 1 + Fraction(1, p)
+    return math.floor(level_unit(n).rho * mu / 12) + 1
+
+
+def test_the_presented_levels():
+    assert PRESENTED == [2, 3, 4, 5, 6, 8, 9, 10]
+    for n in PRESENTED:
+        u = level_unit(n)
+        assert u.power in (1, 2) and u.divisor >= 1 and u.nu % u.power == 0, n
+    assert (level_unit(1).terms, level_unit(7).terms) == ((), ())
+    assert [sturm_bound(n) for n in PRESENTED] == [2, 3, 2, 3, 3, 3, 3, 7]
+
+
+@pytest.mark.parametrize("n", PRESENTED)
+def test_the_divisor_sum_route_matches_the_division_route(n):
+    """Delta_N, Delta_N^2 and Delta_N^3 by both routes, field by field.  Both
+    sides are forms of M_(j rho)(Gamma_0(N)), whose Sturm bound
+    floor(j rho mu(N) / 12) + 1 is at most 7 j <= 21 here (at j = 1: 2, 3,
+    2, 3, 3, 3, 3 and 7), so agreement below q^2000 proves each
+    presentation rather than samples it."""
+    u = level_unit(n)
+    for j in (1, 2, 3):
+        quotient = EtaQuotient([(m, e * j) for m, e in u.quotient.factors])
+        for bound in (0, 1, u.nu, u.nu + 1, Fraction(7, 2), 30, Fraction(401, 2), 1000, 2000):
+            assert fields(quotient.expand(bound)) == fields(division_route(quotient, bound)), (j, bound)
+
+
+def test_the_kernel_takes_exactly_the_powers_of_presented_units(monkeypatch):
+    calls = []
+    real = eta.divisor_sums
+
+    def kernel(terms, n):
+        calls.append(n)
+        return real(terms, n)
+
+    monkeypatch.setattr(eta, "divisor_sums", kernel)
+    two = DELTA_TABLE[2].quotient.factors
+    for n, u in DELTA_TABLE.items():
+        for j in (1, 2, 3, -1):
+            calls.clear()
+            EtaQuotient([(m, e * j) for m, e in u.quotient.factors]).expand(40)
+            assert bool(calls) == (j > 0 and n in PRESENTED), (n, j)
+    # the square roots of Delta_2 and Delta_9, and Delta_2 times Delta_4,
+    # take the division route
+    for factors in ([(m, e // 2) for m, e in two], [(3, -1), (9, 3)], list(two) + [(2, -4), (4, 8)]):
+        calls.clear()
+        EtaQuotient(factors).expand(40)
+        assert not calls, factors
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,10 @@ def test_factories_collapse():
         Product([])
     with pytest.raises(ValueError, match="^negative exponent -1 "):
         Power(x, -1)
-    with pytest.raises(ValueError, match="^negative exponent -2 "):
-        Power(Scalar(2), -2)
+    # a nonzero Scalar takes a negative exponent, and zero refuses one
+    assert Power(Scalar(2), -2) is Scalar(Fraction(1, 4))
+    with pytest.raises(ValueError, match="^negative exponent -1 on zero$"):
+        Power(Scalar(0), -1)
     # Sum: a one-term sum term and a Scalar term fold into the coefficient
     assert Sum([(3, s), (1, y)]) is Sum([(6, x), (1, y)])
     assert Sum([(3, Scalar(Fraction(1, 2))), (1, y)]) is Sum([(Fraction(3, 2), Scalar(1)), (1, y)])

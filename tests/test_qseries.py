@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle
 from qmodular import qseries
-from qmodular.eta import delta, euler_product
+from qmodular.eta import DELTA_TABLE, delta, euler_product
 from qmodular.errors import (
     FractionalExponent,
     InvalidPrecision,
@@ -674,6 +674,38 @@ def test_sigma_series_scaled_argument():
 
 def test_sigma_series_empty_window():
     assert sigma_series(1, 7, 5).is_zero
+
+
+def divisor_sums_bruteforce(terms, n):
+    """sum c sum_{d | m} chi(m/d) psi(d) d^(k-1) at slot t m, divisor by
+    divisor and term by term."""
+    out = [0] * n
+    for c, chi, psi, k, t in terms:
+        for m in range(1, (n - 1) // t + 1):
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    out[t * m] += c * chi[m // d % len(chi)] * psi[d % len(psi)] * d ** (k - 1)
+    return out
+
+
+characters = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5).map(tuple)
+divisor_sum_terms = st.tuples(
+    st.integers(min_value=-5, max_value=5),
+    characters,
+    characters,
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(divisor_sum_terms, max_size=4), st.integers(min_value=0, max_value=200))
+# Delta_10's four terms, a pass whose terms cancel, and one term per slot
+@example(list(DELTA_TABLE[10].terms), 200)
+@example([(1, (0, 1), (1,), 2, 3), (-1, (0, 1), (1,), 2, 3)], 200)
+@example([(2, (1,), (1,), 4, 1)], 2)
+def test_divisor_sums_match_the_bruteforce_sums(terms, n):
+    assert qseries.divisor_sums(terms, n) == divisor_sums_bruteforce(terms, n)
 
 
 # ---------------------------------------------------------------------------

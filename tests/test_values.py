@@ -26,7 +26,7 @@ def _records():
     lhs, rhs = EisensteinAtom(4), EisensteinAtom(4, 1)
     return [
         (EtaQuotient([(2, 1), (1, 3)]), EtaQuotient(((1, 3), (2, 1)))),
-        (level_unit(4), LevelUnit(4, 2, 1, EtaQuotient([(2, -4), (4, 8)]))),
+        (level_unit(4), LevelUnit(4, 2, 1, EtaQuotient([(2, -4), (4, 8)]), ((1, (0, 1), (0, 1), 2, 1),), 1, 1)),
         (b.elements[1], BasisElement(*b.elements[1])),
         (b, basis(4, 6, 8)),
         (IdentityCase("e4", lhs, rhs, "E4 twice"), IdentityCase("e4", lhs, rhs, "E4 twice", 200)),
@@ -86,7 +86,8 @@ def test_keywords_and_defaults():
     assert not bad.passed and bad.describe() == "n: FAIL at q^3 (lhs=1, rhs=2)"
     assert EtaQuotient(factors=[(1, 2), (1, -2)]).factors == ()
     u = level_unit(10)
-    assert LevelUnit(level=10, rho=u.rho, nu=u.nu, quotient=u.quotient) == u
+    fields = dict(terms=u.terms, divisor=u.divisor, power=u.power)
+    assert LevelUnit(level=10, rho=u.rho, nu=u.nu, quotient=u.quotient, **fields) == u
     el = BasisElement(index=0, label="x", expr=DeltaRef(1), series=QSeries(1, 0, (1,), 1, 1))
     assert el.index == 0 and el.label == "x"
     with pytest.raises(TypeError):
