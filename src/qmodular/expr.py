@@ -28,8 +28,9 @@ stage needs to know a rule.  These are the rules, and the only place they
 are applied:
 
 * Sum: a term c*(d*f), its expression a one-term Sum, is the term (c*d)*f;
-  a term c*v, its expression a Scalar v, is (c*v)*1; a lone term 1*f is f,
-  and a lone term c*1 is Scalar(c).
+  a term c*v, its expression a Scalar v, is (c*v)*1, and the terms c*1
+  fold into one, where the first of them stood; a lone term 1*f is f, and
+  a lone term c*1 is Scalar(c), so a sum of constants is its Scalar.
 * Product: a Product among the factors is flattened into them; Scalar
   factors multiply out into the coefficient of a one-term Sum around the
   rest; the EtaAtom factors merge into one, placed where the first of them
@@ -344,12 +345,17 @@ class Sum(FormExpr):
 
     def __new__(cls, terms):
         items = []
+        one = None  # where the constant term c*1 stands in items
         for c, e in terms:
             c = _as_fraction(c)
             if type(e) is Sum and len(e.terms) == 1:
                 c, e = c * e.terms[0][0], e.terms[0][1]
-            elif type(e) is Scalar and e.value != 1:
+            elif type(e) is Scalar:
                 c, e = c * e.value, Scalar(1)
+                if one is not None:
+                    items[one] = (items[one][0] + c, e)
+                    continue
+                one = len(items)
             elif not isinstance(e, FormExpr):
                 raise TypeError(f"sum term {e!r} is not a FormExpr")
             items.append((c, e))

@@ -34,9 +34,11 @@ series in q^t, work on the compressed lists and spread the result back.
 Divisor sums sum_{d|n} chi(n/d) psi(d) d^(k-1), for periodic chi and psi,
 come from one sieve, divisor_sums, in O(n log n) with no product and no
 division: several such sums at once, merged by residue class before the
-sieve.  eta expands eight of the ten level units Delta_N from it.
-sigma_series, its case chi = psi = 1 with one term, keeps a loop of its
-own, which is faster at the lengths the Eisenstein series take.
+sieve.  eta expands eight of the ten level units Delta_N from it, and the
+torsion values (weierstrass.wp_hat and wpt_hat, and inv_sin2 here) are
+divisor sums too, chi the indicator of a class of c.  sigma_series, its
+case chi = psi = 1 with one term, keeps a loop of its own, which is faster
+at the lengths the Eisenstein series take.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, cycle, repeat
 
 from .errors import (
     FractionalExponent,
@@ -703,6 +705,13 @@ def constant_series(value, prec) -> QSeries:
 # -- arithmetic generating series --------------------------------------------
 
 
+def _indicator(r: int, period: int) -> tuple:
+    """The indicator of the class r mod period over one period, a character
+    for divisor_sums."""
+    r %= period
+    return (0,) * r + (1,) + (0,) * (period - 1 - r)
+
+
 def divisor_sums(terms, n: int) -> list:
     """The first n coefficients, from q^0, of the sum over the terms
     (c, chi, psi, k, t) of c D(chi, psi, k, t), where
@@ -712,64 +721,63 @@ def divisor_sums(terms, n: int) -> list:
     for int c, k >= 1 and t >= 1, and chi and psi each given as a tuple of
     int values over one period (chi(x) = chi[x % len(chi)]).  The generalized
     Eisenstein series of weight k with characters chi and psi is one such
-    sum plus a constant term.
+    sum plus a constant term, and so is a torsion value of weierstrass: there
+    chi is the indicator of a class of c mod the cover index.
 
-    A divisor sieve, with no product and no division.  Terms with one
-    (k, t) share one pass, in which the pair (d, m) adds w(m, d) d^(k-1) at
-    slot t d m, for w(m, d) = sum c chi(m) psi(d) over the pass's terms.
-    w depends only on m mod L and d mod L' (L and L' the lcm of the chi and
-    of the psi periods), so the terms are merged into one table before the
-    sieve, and a class whose merged w is 0 costs nothing: Delta_9's two
-    terms leave one class of m in three, and none when 3 | d.  The pairs
-    with d m <= top = (n - 1) // t split at S = isqrt(top // L), as in
-    Dirichlet's hyperbola method: each d <= S adds, per class r of m, the
-    constant w(r, d) d^(k-1) over the slots t d m with m = r mod L, and each
-    m <= top // (S + 1) adds the row d -> w(m, d) d^(k-1), d > S, over the
-    slots t m d.  Every pair lands once, in about S L + top / S slice
-    passes."""
+    A divisor sieve, with no product and no division.  The pair (d, m) with
+    d m = j adds w(m, d) d^(k-1) at slot t j, for w(m, d) = sum c chi(m)
+    psi(d) over the terms with this (k, t).  w depends only on m mod L and
+    d mod L' (L and L' the lcm of the chi and of the psi periods), so the
+    terms are merged into one table, keyed by (k, t) and the class r of m,
+    before the sieve.  Only the classes where some chi is nonzero enter it,
+    and a class whose merged w is 0 costs nothing: Delta_9's two terms leave
+    w nonzero on two of the nine classes of (m, d), and a torsion value whose
+    classes of c coincide sums them once.  Each class splits its pairs with d m <= top =
+    (n - 1) // t at S = isqrt(top // L), as in Dirichlet's hyperbola method:
+    each d <= S adds the constant w(r, d) d^(k-1) over the slots t d m with
+    m = r mod L, and each m = r mod L up to top // (S + 1) adds the row
+    d -> w(r, d) d^(k-1), d > S, over the slots t m d.  The row is built once
+    per class, as long as its first m, r, takes it, and at k = 2 with every
+    psi of period 1 it is a range.  Every pair lands once, in about
+    S + top / (S L) slice passes per class."""
     out = [0] * n
-    passes = {}
+    lc = lp = 1
+    for term in terms:
+        lc, lp = math.lcm(lc, len(term[1])), math.lcm(lp, len(term[2]))
+    # w[k, t, r] = [w(m, d) for d = 0 .. lp - 1 mod lp] for m = r mod lc,
+    # over the classes 1 <= r <= lc where some chi is nonzero
+    w = {}
     for c, chi, psi, k, t in terms:
-        passes.setdefault((k, t), []).append((c, chi, psi))
-    for (k, t), group in passes.items():
-        top = (n - 1) // t
-        if top < 1:
-            continue
-        lc = math.lcm(*[len(chi) for _, chi, _ in group])
-        lp = math.lcm(*[len(psi) for _, _, psi in group])
-        # w[r][e] = w(m, d) for m = r mod lc and d = e mod lp
-        w = [[0] * lp for _ in range(lc)]
-        for c, chi, psi in group:
-            for r in range(lc):
+        for r0 in compress(range(len(chi)), chi):
+            for r in range(r0 or len(chi), lc + 1, len(chi)):
+                ws = w.setdefault((k, t, r), [0] * lp)
                 for e in range(lp):
-                    w[r][e] += c * chi[r % len(chi)] * psi[e % len(psi)]
-        powers = list(map(pow, range(top + 1), repeat(k - 1)))
-        split = max(1, math.isqrt(top // lc))
-        for d in range(1, split + 1):
-            step = t * d
-            for r in range(1, min(lc, top // d) + 1):
-                v = w[r % lc][d % lp] * powers[d]
-                if v:
-                    at = slice(step * r, None, step * lc)
-                    out[at] = list(map(v.__add__, out[at]))
-        # rows[r][i] = w(m, d) d^(k-1) for m = r mod lc and d = split + 1 + i,
-        # built for the classes that the m side reaches
-        tail = powers[split + 1 :]
-        last = top // (split + 1)
-        rows = []
-        for ws in w[: last + 1]:
-            row = [0] * len(tail) if any(ws) else None
-            for e, x in enumerate(ws):
-                if x:
-                    first = (e - split - 1) % lp
-                    row[first::lp] = map(x.__mul__, tail[first::lp])
-            rows.append(row)
-        for m in range(1, last + 1):
-            row = rows[m % lc]
-            if row is not None:
-                step = t * m
-                at = slice(step * (split + 1), step * (top // m) + 1, step)
-                out[at] = list(map(operator.add, out[at], row))
+                    ws[e] += c * chi[r0] * psi[e % len(psi)]
+    for (k, t, r), ws in w.items():
+        top = (n - 1) // t
+        if r > top or not any(ws):
+            continue
+        split = math.isqrt(top // lc)
+        d = 1
+        while d <= split and d * r <= top:
+            v = ws[d % lp] * d ** (k - 1)
+            if v:
+                at = slice(t * d * r, None, t * d * lc)
+                out[at] = map(v.__add__, out[at])
+            d += 1
+        # the m side: the pairs with d > split, if the class's first m has one
+        if d * r > top:
+            continue
+        if k == 2 and lp == 1:
+            row = range(ws[0] * d, ws[0] * (top // r + 1), ws[0])
+        else:
+            ds = range(d, top // r + 1)
+            powers = ds if k == 2 else map(pow, ds, repeat(k - 1))
+            row = list(map(operator.mul, cycle(ws[d % lp :] + ws[: d % lp]), powers))
+        for m in range(r, top // d + 1, lc):
+            # the slice is no longer than the row, which map cuts to it
+            at = slice(t * m * d, None, t * m)
+            out[at] = map(operator.add, out[at], row)
     return out
 
 
@@ -803,54 +811,16 @@ def _check_phase(b) -> Fraction:
     return b
 
 
-def _add_progression(arr, first: int, stride: int, alternating: bool, w: int = 1) -> None:
-    """Add w * sum_{i>=0} S(first + i stride, b) into arr, whose slot k holds
-    the coefficient of q^(k/den); terms at or beyond the end of arr are
-    dropped.
-
-    S(c, b) is the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
-    factor: -4 sum_{d>=1} d eps^d q^(c d) with eps = e^(2 pi i b) for c > 0,
-    the constant 1 at c = 0, b = 1/2, and a pole at c = b = 0.  The caller
-    passes first and stride as grid steps (ints, first >= 0, stride >= 1)
-    and alternating = (b == 1/2), so eps^d = (-1)^d.
-
-    The double sum over (c, d) with c d below n = len(arr) is split at
-    C = max(first, isqrt(n stride)), as in Dirichlet's hyperbola method:
-    each c < C adds one ramp d -> -4 w d eps^d over the slots c d, and each
-    d with c_C d < n, c_C the first c >= C, adds the constant -4 w d eps^d
-    over the slots c d for c >= c_C, which step by stride d.  Every (c, d)
-    lands once, on the c side when c < C and on the d side otherwise, and
-    either side takes about sqrt(n / stride) slice passes."""
-    n = len(arr)
-    if first == 0:
-        if not alternating:
-            raise PoleAtArgument("1/sin^2 at the lattice origin")
-        if n:
-            arr[0] += w
-        first = stride
-    t = -4 * w
-    c = first
-    split = max(first, math.isqrt(n * stride))
-    while c < split and c < n:
-        # (first slot, slot step, first value, value step); eps^d = -1 at odd d
-        ramps = ((c, 2 * c, -t, -2 * t), (2 * c, 2 * c, 2 * t, 2 * t)) if alternating else ((c, c, t, t),)
-        for at, step, v, dv in ramps:
-            seg = arr[at::step]
-            arr[at::step] = list(map(operator.add, seg, range(v, v + dv * len(seg), dv)))
-        c += stride
-    d = 1
-    while c * d < n:
-        v = -t * d if alternating and d % 2 else t * d
-        at = slice(c * d, None, stride * d)
-        arr[at] = list(map(v.__add__, arr[at]))
-        d += 1
-
-
 def inv_sin2(c, b, prec) -> QSeries:
     """S(c, b), the Lambert-type expansion of 1/sin^2(pi(c tau + b)) up to a
-    factor (see _add_progression), below exponent prec.
+    factor, below exponent prec: -4 sum_{d>=1} d eps^d q^(|c| d) with
+    eps = e^(2 pi i b), the constant 1 at c = 0, b = 1/2, and a pole at
+    c = b = 0.
 
-    c is a rational with denominator dividing 2; b is 0 or 1/2."""
+    c is a rational with denominator dividing 2; b is 0 or 1/2.  On the grid
+    of c's denominator it is one divisor-sum term of weight k = 2 and t = 1,
+    -4 [c' = |c| mod P] eps^d, whose period P lies past the bound, so that
+    the class holds |c| alone."""
     c = _as_fraction(c)
     b = _check_phase(b)
     if c.denominator not in (1, 2):
@@ -859,10 +829,15 @@ def inv_sin2(c, b, prec) -> QSeries:
     pn = math.ceil(_as_fraction(prec) * den)
     if pn < 0:
         raise InvalidPrecision(f"negative bound {prec}")
-    arr = [0] * pn
-    # a stride beyond pn leaves only the first term below the bound
-    _add_progression(arr, abs(c.numerator), pn + 1, b != 0)
-    return QSeries._make(den, 0, arr, 1, pn)
+    freq = abs(c.numerator)
+    if freq == 0 and b == 0:
+        raise PoleAtArgument("1/sin^2 at the lattice origin")
+    # a frequency at or past the bound adds nothing
+    eps = (1, -1) if b else (1,)
+    nums = divisor_sums([(-4, _indicator(freq, pn + 1), eps, 2, 1)] if freq < pn else (), pn)
+    if nums and freq == 0:
+        nums[0] = 1
+    return QSeries._make(den, 0, nums, 1, pn)
 
 
 @lru_cache(maxsize=None)

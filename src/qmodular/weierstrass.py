@@ -8,8 +8,8 @@ Two families, both weight-2 objects on the m-fold cover:
 
       -1/3 + S(a, b) + sum_{n>=1} [ S(n m + a, b) + S(n m - a, b) - 2 S(n m, 0) ]
 
-  where S(c, b) is the Lambert expansion of 1/sin^2(pi(c tau + b)) that
-  qseries._add_progression sums over an arithmetic progression of c
+  where S(c, b) = -4 sum_{d>=1} d eps^d q^(c d), eps = e^(2 pi i b), is
+  the Lambert expansion of 1/sin^2(pi(c tau + b)) up to a factor for c > 0
   (S(0, 1/2) = 1, S at the origin is a pole, and S is even in c).
   Domain: m >= 1, 0 <= a < m with 2a integral, b in {0, 1/2}, and
   (a, b) != (0, 0).
@@ -20,6 +20,13 @@ Two families, both weight-2 objects on the m-fold cover:
 
   for |a| <= m/2, 2a integral, b in {0, 1/2}; the argument is a pole exactly
   when |a| = m/2 and b = 1/2.
+
+Both are weight-2 Eisenstein series with characters (F. Diamond and
+J. Shurman, GTM 228, section 4.8): the S terms of one class of c mod m sum
+to the divisor sum -4 sum_{d | j, j/d = c mod m} d eps^d at q^j, so each
+value is a few terms of qseries.divisor_sums, chi the indicator of a class
+of c and psi(d) = eps^d, with k = 2 and t = 1.  Their docstrings state the
+terms.
 
 Also here: classical Eisenstein series E_k(m tau) and the divisor-sum
 presentation of the weight-2 level series Phi_N (its torsion-sum
@@ -43,11 +50,12 @@ from .eta import level_unit
 from .qseries import (
     HALF,
     QSeries,
-    _add_progression,
     _as_fraction,
     _check_phase,
+    _indicator,
     bernoulli,
     constant_series,
+    divisor_sums,
     lincomb,
     sigma_series,
 )
@@ -91,38 +99,54 @@ def _check_wpt(a, b, m: int):
 def wp_hat(a, b, m: int, prec) -> QSeries:
     """q-expansion of the rescaled p-function torsion value (see module doc).
 
-    Each S term is accumulated three times over, so that the constant -1/3
-    becomes the numerator -1 over the series denominator 3."""
+    On the grid of a's denominator, with a = sa/den and m = sm/den, it is
+    three divisor-sum terms of weight k = 2 and t = 1, over the series
+    denominator 3 so that the constant -1/3 is the numerator -1:
+
+        -12 [c = sa mod sm] eps^d,  -12 [c = -sa mod sm] eps^d,  +24 [c = 0 mod sm]
+
+    that is 3 S(c, b) over the classes of a and -a and -6 S(c, 0) over the
+    multiples of m.  The constant is -1, or 2 when a = 0, where S(0, 1/2) = 1
+    adds 3."""
     a, b = _check_wp(a, b, m)
-    alternating = b != 0
     den = a.denominator
     pn = max(0, math.ceil(_as_fraction(prec) * den))
-    arr = [0] * pn
     # offsets and the cover index as steps on the exponent grid
-    sa, sm = int(a * den), m * den
-    _add_progression(arr, sa, sm, alternating, 3)  # S(a + n m, b), n >= 0
-    _add_progression(arr, sm - sa, sm, alternating, 3)  # S(n m - a, b), n >= 1
-    _add_progression(arr, sm, sm, False, -6)  # S(n m, 0), n >= 1
-    if arr:
-        arr[0] -= 1
-    return QSeries._make(den, 0, arr, 3, pn)
+    sa, sm = a.numerator, m * den
+    eps = (1, -1) if b else (1,)
+    terms = [(-12, _indicator(sa, sm), eps, 2, 1), (-12, _indicator(-sa, sm), eps, 2, 1)]
+    nums = divisor_sums(terms + [(24, _indicator(0, sm), (1,), 2, 1)], pn)
+    if nums:
+        nums[0] = 2 if sa == 0 else -1
+    return QSeries._make(den, 0, nums, 3, pn)
 
 
 def wpt_hat(a, b, m: int, prec) -> QSeries:
-    """q-expansion of the half-period-shifted companion (see module doc)."""
+    """q-expansion of the half-period-shifted companion (see module doc).
+
+    On the grid, m counting sm steps, it is three divisor-sum terms of
+    weight k = 2 and t = 1:
+
+        -4 [c = (m + 2a)/2 mod m] eps'^d,  -4 [c = (m - 2a)/2 mod m] eps'^d,
+        +8 [c = m/2 mod m] (-1)^d
+
+    with eps' = e^(2 pi i (b + 1/2)): the main terms over both signs of n,
+    and the base terms, twice.  When |a| = m/2 one main c is 0 and adds the
+    constant S(0, 1/2) = 1."""
     a, b = _check_wpt(a, b, m)
     den = 2 if (m % 2 == 1 or a.denominator == 2) else 1
     pn = max(0, math.ceil(_as_fraction(prec) * den))
-    arr = [0] * pn
     # exponents in halves: base = (n + 1/2) m is h/2 with h = (2n + 1) m,
-    # and the main term's c = base + a is (h + 2a)/2, so |c| runs over
-    # (m + 2a)/2 + k m and (m - 2a)/2 + k m for k >= 0, and base over
-    # m/2 + k m twice; on the grid each half counts den/2 steps
+    # and the main term's c = base + a is (h + 2a)/2, so |c| runs over the
+    # classes (m + 2a)/2 and (m - 2a)/2 mod m, and base over m/2 mod m,
+    # twice; on the grid each half counts den/2 steps
     a2, sm = int(2 * a), m * den
-    for main in ((m + a2) * den // 2, (m - a2) * den // 2):
-        _add_progression(arr, main, sm, b == 0)  # phase b + 1/2; main = 0 only for b = 0
-    _add_progression(arr, sm // 2, sm, True, -2)
-    return QSeries._make(den, 0, arr, 1, pn)
+    eps = (1, -1) if b == 0 else (1,)  # the phase b + 1/2
+    terms = [(-4, _indicator((m + s * a2) * den // 2, sm), eps, 2, 1) for s in (1, -1)]
+    nums = divisor_sums(terms + [(8, _indicator(sm // 2, sm), (1, -1), 2, 1)], pn)
+    if nums and abs(a2) == m:
+        nums[0] = 1  # S(0, 1/2), at the one c = 0
+    return QSeries._make(den, 0, nums, 1, pn)
 
 
 def wpt_valuation(a, b, m: int) -> Fraction:

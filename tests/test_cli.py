@@ -665,7 +665,9 @@ def test_dims_weight_needs_a_level():
 def test_expand_json_prints_a_constant(src, terms):
     code, out, _ = run("expand", "--expr", src, "--format", "json")
     assert code == 0
-    assert json.loads(out) == {"expr": src, "weight": "0", "precision": "10", "terms": terms}
+    # a sum of constants is one Scalar node, printed as its value
+    expr = terms[0][1]
+    assert json.loads(out) == {"expr": expr, "weight": "0", "precision": "10", "terms": terms}
 
 
 def test_verify_json():
@@ -909,6 +911,17 @@ def test_a_scalar_takes_a_negative_exponent_and_zero_refuses_one():
         assert (code, out) == (2, "") and err.count("\n") == 1, src
         assert err.startswith("error: negative exponent ") and err.endswith(f"on zero (at position {at})\n"), err
 
+
+
+def test_a_sum_of_constants_is_its_scalar():
+    # the constant terms of a sum fold into one, so a sum of constants takes
+    # a negative exponent as the scalar it is
+    assert parse_expr("(1 + 1)") is Scalar(2)
+    assert parse_expr("(eta(1)*eta(1)^-1 + 1)") is Scalar(2)
+    assert parse_expr("1 - 1/2*eta(1)*eta(1)^-1 + 1/4") is Scalar(Fraction(3, 4))
+    half = (0, "1/2 + 120q + 1080q^2 + O(q^3)\n", "")
+    assert run("expand", "--expr", "(1 + 1)^-1*E4", "--prec", "3") == half
+    assert run("expand", "--expr", "(eta(1)*eta(1)^-1 + 1)^-1*E4", "--prec", "3") == half
 
 def test_exit_code_weight_cap():
     cap = cli._MAX_WEIGHT

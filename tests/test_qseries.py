@@ -698,12 +698,35 @@ divisor_sum_terms = st.tuples(
 )
 
 
+def residue_class(r, period):
+    """The indicator of the class r mod period, value by value over one
+    period: the character the torsion kernels send for a class of c."""
+    return tuple(1 if x == r % period else 0 for x in range(period))
+
+
+ALTERNATING = (1, -1)  # psi(d) = (-1)^d, the phase 1/2
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(divisor_sum_terms, max_size=4), st.integers(min_value=0, max_value=200))
 # Delta_10's four terms, a pass whose terms cancel, and one term per slot
 @example(list(DELTA_TABLE[10].terms), 200)
 @example([(1, (0, 1), (1,), 2, 3), (-1, (0, 1), (1,), 2, 3)], 200)
 @example([(2, (1,), (1,), 4, 1)], 2)
+# the torsion shapes: wp_hat(3/2, 1/2, 10)'s classes of period 20 with the
+# alternating psi; wp_hat(5, 1/2, 10), whose classes a and -a coincide;
+# wpt_hat(0, 0, 5), whose three classes coincide and cancel; inv_sin2's one
+# class with a period past the bound; and the shortest windows
+@example([(-12, residue_class(3, 20), ALTERNATING, 2, 1), (-12, residue_class(-3, 20), ALTERNATING, 2, 1),
+          (24, residue_class(0, 20), (1,), 2, 1)], 200)
+@example([(-12, residue_class(5, 10), ALTERNATING, 2, 1), (-12, residue_class(-5, 10), ALTERNATING, 2, 1),
+          (24, residue_class(0, 10), (1,), 2, 1)], 150)
+@example([(-4, residue_class(5, 10), ALTERNATING, 2, 1)] * 2 + [(8, residue_class(5, 10), ALTERNATING, 2, 1)], 100)
+@example([(-4, residue_class(7, 41), ALTERNATING, 2, 1)], 40)
+@example([(-4, residue_class(0, 41), (1,), 2, 1)], 40)
+@example(list(DELTA_TABLE[10].terms), 0)
+@example(list(DELTA_TABLE[10].terms), 1)
+@example([(-12, residue_class(1, 2), ALTERNATING, 2, 1), (24, residue_class(0, 2), (1,), 2, 1)], 2)
 def test_divisor_sums_match_the_bruteforce_sums(terms, n):
     assert qseries.divisor_sums(terms, n) == divisor_sums_bruteforce(terms, n)
 

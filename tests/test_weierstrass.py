@@ -144,7 +144,7 @@ def test_wpt_edge_offset_with_zero_phase_is_constant_one_leading():
 
 
 # ---------------------------------------------------------------------------
-# the progression kernel against the per-multiple kernels
+# the divisor-sum kernels against the per-multiple kernels
 # ---------------------------------------------------------------------------
 
 KERNELS = {"wp_hat": wp_hat, "wpt_hat": wpt_hat, "inv_sin2": inv_sin2}

@@ -2,9 +2,10 @@
 
 _add_s adds one Lambert series S(c, b) into a grid array, one _ramp slice
 per residue class of d, and wp_hat, wpt_hat and inv_sin2 call it once for
-every multiple c of the cover index below the bound.  The package now sums
-each arithmetic progression of c in one pass (qseries._add_progression);
-the code here is kept as it was, so the differential tests compare the two.
+every multiple c of the cover index below the bound.  The package now
+computes each torsion value as the divisor sums of a few residue classes of
+c (qseries.divisor_sums); the code here is kept as it was, so the
+differential tests compare the two.
 
 phi_weierstrass is the torsion-sum loop weierstrass.phi_level ran for
 Phi_N before Phi(N) became an expression tree expanded by
