@@ -303,14 +303,11 @@ class _ExpansionCache:
     of it computed so far, holding at most `budget` coefficients in all.
 
     An entry answers every request whose bound it reaches, by truncation.
-    find is the one lookup, and only a lookup that answers counts, as a hit;
-    the evaluator counts a miss where it then expands the node itself, and
-    nothing for a ladder probe that finds no rung (see _expand).  The
-    generator registry is the one input that can change under a node
+    find is the one lookup: one that answers counts a hit, one that does
+    not a miss, after which the evaluator expands the node and puts it.
+    The generator registry is the one input that can change under a node
     (GeneratorRef resolves through it), so every entry is dropped when the
-    registry no longer equals the snapshot the entries were made under.
-    The power ladder of _expand reads its rungs, the cached powers of a
-    base, from the entries themselves."""
+    registry no longer equals the snapshot the entries were made under."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -330,10 +327,11 @@ class _ExpansionCache:
 
     def find(self, e: FormExpr, bound: int):
         """The entry for e cut below q^(bound/24), counted as a hit and made
-        the most recent, or None, counted nowhere, when it stops short."""
+        the most recent, or None, counted as a miss, when it stops short."""
         s = self.entries.get(e)
         # s.bound < bound/24
         if s is None or 24 * s.prec < bound * s.den:
+            self.misses += 1
             return None
         self.hits += 1
         self.entries.move_to_end(e)
@@ -394,19 +392,17 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
     resolves to (its registered expression, its torsion sum, the eta atom
     of its quotient) and stores no entry of its own.
 
-    A power f^n (n >= 3) that misses, with the cache on,
-    climbs a ladder (an addition chain, Knuth, TAOCP vol. 2, 4.6.3) where
-    pow would take binary powering; where it would run Miller's recurrence,
-    one pass for any n, a rung saves nothing.  With low = f._lower and
-    slack = bound - n*low, the slack rule of products, it takes the largest
-    k with n/2 <= k < n (and k >= 2) whose f^k, an entry of the cache,
-    reaches slack + k*low and multiplies it by f^(n-k) (f itself when
-    n - k = 1) expanded through _expand below slack + (n-k)*low, so the
-    product reaches the bound.  As k >= n - k, a climb nests at most
-    log2(n) powers deep.  Each rung probed is a find: a rung used is a hit
-    and becomes most recent, one missing or too short counts nothing.  With
-    no such rung, or with the cache off, f expanded below slack + low is
-    raised to the n-th power."""
+    A power f^n (n >= 3) that misses, with the cache on, climbs one fixed
+    binary addition chain (Knuth, TAOCP vol. 2, 4.6.3) where pow would take
+    binary powering; where it would run Miller's recurrence, one pass for
+    any n, a chain saves nothing.  With low = f._lower and
+    slack = bound - n*low, the slack rule of products, f^n is f^(n-1) times
+    f for odd n and the square of f^(n/2) for even n, each f^k expanded
+    through _expand below slack + k*low, so the product reaches the bound.
+    Every step is an ordinary lookup of the node f^k, found or stored like
+    any other, so a chain makes at most 2 floor(log2 n) products, and its
+    answer does not depend on what the cache holds.  With the cache off, f
+    expanded below slack + low is raised to the n-th power."""
     # nothing below the bound: answer without recursing
     if bound <= e._lower:
         return zero_series(Fraction(bound, 24))
@@ -424,7 +420,6 @@ def _expand(e: FormExpr, bound: int, cache) -> QSeries:
         return _expand_node(e, bound, cache)
     s = cache.find(e, bound)
     if s is None:
-        cache.misses += 1
         s = _expand_node(e, bound, cache)
         cache.put(e, s)
     return s
@@ -465,16 +460,10 @@ def _expand_node(e: FormExpr, bound: int, cache) -> QSeries:
         slack = bound - n * low
         t = _expand(base, slack + low, cache)
         if cache is not None and n > 2 and t.by_squaring(n):
-            # the rungs are the cached powers of the base; k >= n - k: the
-            # cofactor is at most f^(n/2), so at most log2(n) powers climb at
-            # once
-            ks = (x.exponent for x in cache.entries if type(x) is Power and x.base == base)
-            for k in sorted((k for k in ks if 1 < k < n <= 2 * k), reverse=True):
-                s = cache.find(Power(base, k), slack + k * low)
-                if s is not None:
-                    if n - k > 1:
-                        t = _expand(Power(base, n - k), slack + (n - k) * low, cache)
-                    return s * t
+            # the binary chain: f^(n-1) * f for odd n, (f^(n/2))^2 for even n
+            if n % 2:
+                return _expand(Power(base, n - 1), slack + (n - 1) * low, cache) * t
+            return _expand(Power(base, n // 2), slack + n // 2 * low, cache).pow(2)
         return t.pow(n)
     raise TypeError(f"not a FormExpr: {e!r}")
 

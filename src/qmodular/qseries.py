@@ -276,6 +276,13 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+def _slots(prec, den: int = 1) -> int:
+    """ceil(prec * den), the slots below exponent prec on the grid of step
+    1/den, or 0 when prec <= 0; an int prec builds no Fraction."""
+    b = prec if isinstance(prec, int) else _as_fraction(prec)
+    return max(0, math.ceil(b * den))
+
+
 def _rat(x: int, d: int) -> Rat:
     """x / d as an int when it is integral, else as a Fraction."""
     return x // d if x % d == 0 else Fraction(x, d)
@@ -697,7 +704,7 @@ def one_series(prec) -> QSeries:
 def constant_series(value, prec) -> QSeries:
     """The constant value below exponent prec on the integer grid; the
     zero-so-far series at 0 when prec <= 0."""
-    p = max(0, math.ceil(_as_fraction(prec)))
+    p = _slots(prec)
     c = _as_fraction(value)
     return QSeries._make(1, 0, [c.numerator] + [0] * (p - 1) if p else (), c.denominator, p)
 

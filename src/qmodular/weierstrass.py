@@ -42,7 +42,6 @@ unit table's, checked by eta.level_unit as every level is.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
@@ -53,6 +52,7 @@ from .qseries import (
     _as_fraction,
     _check_phase,
     _indicator,
+    _slots,
     bernoulli,
     constant_series,
     divisor_sums,
@@ -110,7 +110,7 @@ def wp_hat(a, b, m: int, prec) -> QSeries:
     adds 3."""
     a, b = _check_wp(a, b, m)
     den = a.denominator
-    pn = max(0, math.ceil(_as_fraction(prec) * den))
+    pn = _slots(prec, den)
     # offsets and the cover index as steps on the exponent grid
     sa, sm = a.numerator, m * den
     eps = (1, -1) if b else (1,)
@@ -135,7 +135,7 @@ def wpt_hat(a, b, m: int, prec) -> QSeries:
     constant S(0, 1/2) = 1."""
     a, b = _check_wpt(a, b, m)
     den = 2 if (m % 2 == 1 or a.denominator == 2) else 1
-    pn = max(0, math.ceil(_as_fraction(prec) * den))
+    pn = _slots(prec, den)
     # exponents in halves: base = (n + 1/2) m is h/2 with h = (2n + 1) m,
     # and the main term's c = base + a is (h + 2a)/2, so |c| runs over the
     # classes (m + 2a)/2 and (m - 2a)/2 mod m, and base over m/2 mod m,
@@ -174,7 +174,7 @@ def eisenstein(k: int, m: int, prec) -> QSeries:
     """E_k(m tau) = 1 - (2k/B_k) sum_{n>=1} sigma_{k-1}(n) q^(m n), for even
     k >= 4."""
     _check_eisenstein(k, m)
-    pn = max(0, math.ceil(_as_fraction(prec)))
+    pn = _slots(prec)
     coef = Fraction(-2 * k) / bernoulli(k)
     return lincomb(((1, constant_series(1, pn)), (coef, sigma_series(k - 1, m, pn))))
 
@@ -203,7 +203,7 @@ def phi_level(N: int, prec) -> QSeries:
     is an expression tree that levels.expand_expr evaluates for Phi(N), so
     the identity suite compares the two."""
     _check_phi_level(N)
-    pn = max(0, math.ceil(_as_fraction(prec)))
+    pn = _slots(prec)
     c = Fraction(24, N - 1)
     return lincomb(
         ((1, constant_series(1, pn)), (c, sigma_series(1, 1, pn)), (-N * c, sigma_series(1, N, pn)))

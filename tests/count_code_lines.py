@@ -9,7 +9,8 @@ rule the code-line counts in CHANGES.md use.
     python tests/count_code_lines.py [path ...]
 
 Each path is a file or a directory searched for *.py files; the default is
-src/qmodular.  Prints the total.  pytest does not collect this file.
+src/qmodular.  Prints one "path count" line per file, then the total on the
+last line.  pytest does not collect this file.
 """
 
 import sys
@@ -46,7 +47,12 @@ def main(paths) -> int:
     files = []
     for p in map(Path, paths or ["src/qmodular"]):
         files += sorted(p.rglob("*.py")) if p.is_dir() else [p]
-    return sum(code_lines(f) for f in files)
+    total = 0
+    for f in files:
+        n = code_lines(f)
+        print(f, n)
+        total += n
+    return total
 
 
 if __name__ == "__main__":

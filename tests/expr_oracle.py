@@ -4,7 +4,11 @@
   recomputed by recursion over the whole tree on every call, as Fractions.
 * expand_expr as it was before bounds became ints in units of 1/24: the
   same evaluator and cache rules, with every bound, valuation and slack a
-  Fraction, and val_lower from this module.
+  Fraction, and val_lower from this module.  Two of its rules stay apart
+  from the evaluator's shortcuts: a sum is added term by term with scale
+  and +, not by lincomb, and Phi(N) is torsion_oracle.phi_weierstrass, not
+  the torsion sum levels._phi_sum.  With the cache off (oracle) it is the
+  uncached evaluator the expansion cache is tested against.
 """
 
 import math
@@ -27,9 +31,11 @@ from qmodular.expr import (
     WpAtom,
     WptAtom,
 )
-from qmodular.levels import _phi_sum, _resolve_ref
-from qmodular.qseries import _as_fraction, constant_series, lincomb, zero_series
+from qmodular.levels import _resolve_ref
+from qmodular.qseries import _as_fraction, constant_series, zero_series
 from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat, wpt_valuation
+
+from torsion_oracle import phi_weierstrass
 
 
 def weight(e) -> Fraction:
@@ -131,8 +137,6 @@ def _expand(e, bound, cache):
         return zero_series(bound)
     if isinstance(e, GeneratorRef):
         return _expand(_resolve_ref(e.level, e.weight, e.index), bound, cache)
-    if isinstance(e, PhiAtom) and e.mode == "weierstrass":
-        return _expand(_phi_sum(e.level), bound, cache)
     if cache is None or isinstance(e, Scalar):
         return _expand_node(e, bound, cache)
     s = cache.get(e, bound)
@@ -154,13 +158,19 @@ def _expand_node(e, bound, cache):
     if isinstance(e, EisensteinAtom):
         return eisenstein(e.k, e.m, bound)
     if isinstance(e, PhiAtom):
+        if e.mode == "weierstrass":
+            return phi_weierstrass(e.level, bound)
         return phi_level(e.level, bound)
     if isinstance(e, DeltaRef):
         return delta(e.level, bound)
     if isinstance(e, HalfTwist):
         return _expand(e.child, bound, cache).half_twist()
     if isinstance(e, Sum):
-        return lincomb((c, _expand(f, bound, cache)) for c, f in e.terms)
+        acc = None
+        for c, f in e.terms:
+            t = _expand(f, bound, cache).scale(c)
+            acc = t if acc is None else acc + t
+        return acc
     if isinstance(e, Product):
         slack = bound - val_lower(e)
         acc = None
@@ -173,6 +183,12 @@ def _expand_node(e, bound, cache):
         t = _expand(e.base, bound - (e.exponent - 1) * lo, cache)
         return t.pow(e.exponent)
     raise TypeError(f"not a FormExpr: {e!r}")
+
+
+def oracle(e, prec):
+    """q-expansion of e below exponent prec with no cache."""
+    b = Fraction(prec)
+    return _expand(e, b, None).truncate(b)
 
 
 def expand_expr(e, prec):

@@ -1,15 +1,15 @@
 """The expansion cache in levels._expand: it never changes an answer (a
-differential test against the uncached evaluator kept here as the oracle),
-it never serves an expansion made under an older generator registry, and
-its counters show what it did.  The evaluator's int bounds, in units of
-1/24, give the answers of the Fraction-bound evaluator kept in expr_oracle,
-from a cold and from a warm cache.
+differential test against the Fraction-bound evaluator of expr_oracle with
+its cache off), it never serves an expansion made under an older generator
+registry, and its counters show what it did.  The evaluator's int bounds,
+in units of 1/24, give the answers of that evaluator through its own cache,
+from a cold and from a warm cache; so do the powers, which climb one binary
+chain through the cache.
 
 These tests clear the cache themselves, so they pass in a process of their
 own as well as after the rest of the suite has filled it."""
 
 import gc
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -26,13 +26,10 @@ from qmodular.expr import (
     DeltaRef,
     EisensteinAtom,
     EtaAtom,
-    FormExpr,
     GeneratorRef,
-    HalfTwist,
     PhiAtom,
     Power,
     Product,
-    Scalar,
     Sum,
     WpAtom,
     WptAtom,
@@ -47,71 +44,12 @@ from qmodular.levels import (
     expand_expr,
     reduce,
 )
-from qmodular.qseries import HALF, constant_series, zero_series
-from qmodular.weierstrass import eisenstein, phi_level, wp_hat, wpt_hat
+from qmodular.qseries import HALF
 
-from expr_oracle import val_lower
 from torsion_oracle import phi_weierstrass
 
 
-# ---------------------------------------------------------------------------
-# the oracle: the evaluator as it was before the cache
-# ---------------------------------------------------------------------------
-
-
-def uncached_expand(e: FormExpr, bound: Fraction):
-    # nothing below the bound: answer without recursing
-    v = val_lower(e)
-    if bound <= v:
-        return zero_series(bound)
-
-    if isinstance(e, Scalar):
-        return constant_series(e.value, bound)
-    # torsion atoms expand to ceil(bound); expand_expr truncates the rest
-    if isinstance(e, WpAtom):
-        return wp_hat(e.a, e.b, e.m, math.ceil(bound))
-    if isinstance(e, WptAtom):
-        return wpt_hat(e.a, e.b, e.m, math.ceil(bound))
-    if isinstance(e, EtaAtom):
-        return e.quotient.expand(bound)
-    if isinstance(e, EisensteinAtom):
-        return eisenstein(e.k, e.m, bound)
-    if isinstance(e, PhiAtom):
-        if e.mode == "weierstrass":
-            return phi_weierstrass(e.level, bound)
-        return phi_level(e.level, bound)
-    if isinstance(e, DeltaRef):
-        return delta(e.level, bound)
-    if isinstance(e, GeneratorRef):
-        return uncached_expand(_resolve_ref(e.level, e.weight, e.index), bound)
-    if isinstance(e, HalfTwist):
-        return uncached_expand(e.child, bound).half_twist()
-    if isinstance(e, Sum):
-        if not e.terms:
-            return zero_series(bound)
-        acc = None
-        for c, f in e.terms:
-            t = uncached_expand(f, bound).scale(c)
-            acc = t if acc is None else acc + t
-        return acc
-    if isinstance(e, Product):
-        lows = [val_lower(f) for f in e.factors]
-        slack = bound - sum(lows)
-        acc = None
-        for f, lo in zip(e.factors, lows):
-            t = uncached_expand(f, slack + lo)
-            acc = t if acc is None else acc * t
-        return acc
-    if isinstance(e, Power):
-        lo = val_lower(e.base)
-        t = uncached_expand(e.base, bound - (e.exponent - 1) * lo)
-        return t.pow(e.exponent)
-    raise TypeError(f"not a FormExpr: {e!r}")
-
-
-def oracle(e: FormExpr, prec):
-    b = Fraction(prec)
-    return uncached_expand(e, b).truncate(b)
+oracle = expr_oracle.oracle
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +358,16 @@ def test_int_bounds_match_the_fraction_bound_evaluator(warm, e, b, first):
 
 
 # ---------------------------------------------------------------------------
-# the power ladder: a power expands from the largest cached power of its base
+# the power chain, a binary ladder: f^n expands as f^(n-1) * f for odd n and
+# as (f^(n/2))^2 for even n, each step an entry of the cache
 # ---------------------------------------------------------------------------
 
 V, W, T, U = WptAtom(HALF, 0, 1), WptAtom(0, HALF, 1), WptAtom(1, 0, 2), WptAtom(0, HALF, 2)
 E270 = GeneratorRef(7, 2, 0)
 # bases of valuation 0, of the half-integral valuation 1/2 (so the slack
-# moves each rung's bound), of integral valuation 1, a sum, and E(2,7,0),
+# moves each step's bound), of integral valuation 1, a sum, and E(2,7,0),
 # which resolves through the registry the test edits
-LADDER_BASES = [
+CHAIN_BASES = [
     V,
     W,
     T,
@@ -442,7 +381,7 @@ POLY_FORMS = [
     IDENTITIES[name].rhs
     for name in ("e4-2tau", "e4-tau-sym", "e6-2tau", "e6-sym", "e8-2tau", "e8-sym", "e10-sym", "e12-sym")
 ]
-ladder_powers = st.builds(Power, st.sampled_from(LADDER_BASES), st.integers(1, 9))
+chain_powers = st.builds(Power, st.sampled_from(CHAIN_BASES), st.integers(1, 9))
 drawn_polys = st.builds(
     levels._poly,
     st.sampled_from([V, T]),
@@ -454,15 +393,15 @@ drawn_polys = st.builds(
         unique_by=lambda t: t[1:],
     ),
 )
-ladder_exprs = st.one_of(
-    ladder_powers,
+chain_exprs = st.one_of(
+    chain_powers,
     st.sampled_from(POLY_FORMS),
     drawn_polys,
-    st.builds(lambda p, q: Product((p, q)), ladder_powers, ladder_powers),
+    st.builds(lambda p, q: Product((p, q)), chain_powers, chain_powers),
 )
 # integral bounds, and bounds the two grids round apart (1/3, 9/2, 13/3:
 # the cache bypass) or alike (17/3)
-LADDER_BOUNDS = st.one_of(
+CHAIN_BOUNDS = st.one_of(
     st.integers(0, 40), st.sampled_from([F(1, 3), F(9, 2), F(13, 3), F(17, 3)])
 )
 
@@ -482,17 +421,17 @@ def nudged_e270():
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(steps=st.lists(st.tuples(ladder_exprs, LADDER_BOUNDS, st.booleans()), min_size=1, max_size=6))
-# a registry edit under a cached rung; a fractional bound above cached rungs
+@given(steps=st.lists(st.tuples(chain_exprs, CHAIN_BOUNDS, st.booleans()), min_size=1, max_size=6))
+# a registry edit under a cached step; a fractional bound above cached steps
 @example(steps=[(Power(E270, 3), 20, False), (Power(E270, 5), 20, True), (Power(E270, 4), 20, True)])
 @example(steps=[(Power(V, 3), 20, False), (Power(V, 5), F(13, 3), False), (Power(V, 5), 20, False)])
 @example(steps=[(POLY_FORMS[-1], 30, False), (Power(V, 9), 30, False)])
-def test_power_ladder_matches_the_oracle(budget, steps, monkeypatch):
+def test_power_chain_matches_the_oracle(budget, steps, monkeypatch):
     # powers of shared bases, expanded in a drawn order at drawn bounds, each
     # step also flipping the registry row (7, 2) between its two versions or
-    # not; the shrunk budget evicts rungs while a ladder is climbed.  Every
-    # power n >= 2 takes binary powering, here and in the oracle, so these
-    # short bases climb the ladder too.
+    # not; the shrunk budget evicts the steps of a chain while it is
+    # climbed.  Every power n >= 2 takes binary powering, here and in the
+    # oracle, so these short bases climb the chain too.
     monkeypatch.setattr(levels._CACHE, "budget", budget)
     monkeypatch.setattr(qseries.QSeries, "by_squaring", lambda f, n: n >= 2)
     rows = {False: levels._REGISTRY[(7, 2)], True: nudged_e270()}
@@ -510,7 +449,7 @@ def test_power_ladder_matches_the_oracle(budget, steps, monkeypatch):
 
 
 def test_a_power_ladder_makes_one_product_per_rung(monkeypatch):
-    want = [oracle(Power(V, n), 400) for n in range(2, 7)]
+    want = {n: oracle(Power(V, n), 400) for n in (2, 3, 4, 5, 6, 9)}
     expand_cache_clear()
     expand_expr(V, 400)
     squares = []
@@ -518,14 +457,18 @@ def test_a_power_ladder_makes_one_product_per_rung(monkeypatch):
     monkeypatch.setattr(
         qseries, "_kronecker", lambda a, b, n: squares.append(a is b) or kronecker(a, b, n)
     )
-    # V^2 squares V; V^3 ... V^6 each multiply the rung below by V
-    assert [expand_expr(Power(V, n), 400) for n in range(2, 7)] == want
-    assert squares == [True, False, False, False, False]
-    hits = expand_cache_info().hits
-    assert expand_expr(Power(V, 9), 400) == oracle(Power(V, 9), 400)
-    # V^9 is V^6 times V^3: V (which decides pow's kernel) and the two rungs
-    # are hits, V^9 itself the one miss
-    assert expand_cache_info().hits == hits + 3
+    # V^2 squares V; then V^3 = V^2 * V, V^4 = (V^2)^2, V^5 = V^4 * V and
+    # V^6 = (V^3)^2, each from the cached step below it
+    assert [expand_expr(Power(V, n), 400) for n in range(2, 7)] == [want[n] for n in range(2, 7)]
+    assert squares == [True, False, True, False, True]
+    squares.clear()
+    before = expand_cache_info()
+    # V^9 = V^8 * V and V^8 = (V^4)^2: V, twice, and V^4 are the hits, V^9
+    # and V^8 the misses
+    assert expand_expr(Power(V, 9), 400) == want[9]
+    assert squares == [True, False]
+    after = expand_cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 2)
 
 
 def test_a_short_power_keeps_millers_recurrence(monkeypatch):
@@ -543,14 +486,28 @@ def test_a_short_power_keeps_millers_recurrence(monkeypatch):
 
 @pytest.mark.parametrize("climbs", [False, True], ids=["kernel", "always"])
 def test_a_low_rung_starts_no_deep_climb(climbs, monkeypatch):
-    # a rung is at least half the power, so with E4^2 cached E4^2000 takes
-    # no rung (f^2 would leave a cofactor climbing 1000 rungs deep, past the
-    # recursion limit), and E4^3999 climbs E4^2000 and then powers E4^1999;
-    # "always" sends every power n >= 2 to binary powering, which the ladder
-    # may climb
+    # E4^3999 makes at most 2 floor(log2 3999) = 22 products and squares,
+    # after E4^2 and E4^2000 or from a cold cache: the chain is fixed by n,
+    # not by what the cache holds.  "always" sends every power n >= 2 to
+    # binary powering, so the chain is climbed at q^3; under "kernel" pow's
+    # estimate sends these 3-term powers to Miller's recurrence, one pass.
     if climbs:
         monkeypatch.setattr(qseries.QSeries, "by_squaring", lambda f, n: n >= 2)
     e4 = parse_expr("E4")
-    expand_cache_clear()
-    for n in (2, 2000, 3999):
-        assert expand_expr(Power(e4, n), 3) == oracle(Power(e4, n), 3)
+    want = {n: oracle(Power(e4, n), 3) for n in (2, 2000, 3999)}
+    steps = []
+    mul, pow_ = qseries.QSeries.__mul__, qseries.QSeries.pow
+    monkeypatch.setattr(qseries.QSeries, "__mul__", lambda f, g: steps.append(2) or mul(f, g))
+    monkeypatch.setattr(qseries.QSeries, "pow", lambda f, n: steps.append(n) or pow_(f, n))
+    for warm in (False, True):
+        expand_cache_clear()
+        if warm:
+            for n in (2, 2000):
+                assert expand_expr(Power(e4, n), 3) == want[n]
+        steps.clear()
+        assert expand_expr(Power(e4, 3999), 3) == want[3999]
+        if climbs:
+            # products and squares only, no pow of a longer exponent
+            assert set(steps) == {2} and len(steps) <= 22
+        else:
+            assert steps == [3999]

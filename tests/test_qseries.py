@@ -842,12 +842,30 @@ def test_rendering_examples():
         (lambda: inv_sin2(1, 0, -1), InvalidPrecision, "negative bound -1"),
         (lambda: bernoulli(-1), ValueError, "nonnegative"),
         (lambda: qseries._as_fraction(1.5), TypeError, "expected a rational, got float"),
+        (lambda: qseries._slots(1.5, 2), TypeError, "expected a rational, got float"),
+        (lambda: qseries._slots("x", 2), ValueError, "Invalid literal for Fraction"),
     ],
     ids=[
         "build-den", "build-window", "shift", "substitute", "sigma-k", "sigma-m",
         "sigma-prec", "inv_sin2-frequency", "inv_sin2-bound", "bernoulli", "as_fraction",
+        "slots-float", "slots-text",
     ],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prec=st.one_of(st.integers(-50, 50), st.fractions(-20, 20, max_denominator=24)),
+    den=st.sampled_from([1, 2]),
+    as_text=st.booleans(),
+)
+@example(prec=True, den=2, as_text=False)
+def test_slots_is_the_ceiling_of_the_bound(prec, den, as_text):
+    # the kernels' one bound rule: ceil(prec * den) slots, none at or below
+    # q^0, from an int, a Fraction or its text alike
+    want = max(0, math.ceil(Fraction(prec) * den))
+    got = qseries._slots(str(prec) if as_text else prec, den)
+    assert got == want and type(got) is int

@@ -11,7 +11,15 @@ import torsion_oracle as oracle
 from qmodular.errors import PoleAtArgument, UnknownLevel, UnsupportedWeight
 from qmodular.expr import PhiAtom
 from qmodular.levels import expand_expr
-from qmodular.qseries import HALF, QSeries, _as_fraction, inv_sin2, monomial, one_series
+from qmodular.qseries import (
+    HALF,
+    QSeries,
+    _as_fraction,
+    constant_series,
+    inv_sin2,
+    monomial,
+    one_series,
+)
 from qmodular.weierstrass import (
     eisenstein,
     phi_level,
@@ -357,3 +365,22 @@ def test_phi_rejects_levels_outside_range():
         phi_level(1, 5)
     with pytest.raises(UnknownLevel):
         phi_level(11, 5)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda p: wp_hat(Fraction(5, 2), HALF, 5, p),
+        lambda p: wpt_hat(HALF, 0, 1, p),
+        lambda p: eisenstein(4, 2, p),
+        lambda p: phi_level(7, p),
+        lambda p: constant_series(Fraction(3, 4), p),
+    ],
+    ids=["wp_hat", "wpt_hat", "eisenstein", "phi_level", "constant_series"],
+)
+def test_kernels_read_int_fraction_and_text_bounds_alike(kernel):
+    # each kernel rounds its bound up on its grid; a bound at or below q^0
+    # gives the empty series
+    for p in (0, 1, 7, Fraction(13, 2), Fraction(-1, 3), -4):
+        assert kernel(p) == kernel(Fraction(p)) == kernel(str(p)), p
+    assert kernel(-4) == kernel(0) and not kernel(0).nums
