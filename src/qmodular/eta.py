@@ -13,27 +13,40 @@ Delta_N are eta quotients, and levels expands Delta(N) as one.
 
 A quotient takes one of two routes, chosen by its factors alone.
 
-* Divisor sums.  At N = 2, 3, 4, 5, 6, 8, 9 and 10, Delta_N is a
-  generalized Eisenstein series, or the square of one (F. Diamond and
-  J. Shurman, GTM 228, 4.5-4.8; G. Koehler, Eta Products and Theta Series
-  Identities, 2011): its coefficients, or its square root's, are sums
+* Presentations.  Every level unit Delta_N has a presentation as a sum
+  of series that takes no product and no division, and each row of
+  DELTA_TABLE carries it as data; a quotient that is Delta_N^j, j >= 1,
+  expands that sum and QSeries.pow raises it to the power j, 2j or 8j.
+  At N = 2, 3, 4, 5, 6, 8, 9 and 10, Delta_N is a generalized Eisenstein
+  series, or the square of one (F. Diamond and J. Shurman, GTM 228,
+  4.5-4.8; G. Koehler, Eta Products and Theta Series Identities, 2011):
+  its coefficients, or its square root's, are sums
   sum_{d|n} chi(n/d) psi(d) d^(k-1) over a few terms, which
-  qseries.divisor_sums sieves with no product and no division.  Each such
-  row of DELTA_TABLE carries that presentation as data, and a quotient
-  that is Delta_N^j, j >= 1, of such a level expands the sieve's series
-  and raises it to the power j or 2j.  No cost router
-  is needed: the sieve costs O(n log n) and a division O(n^(3/2)), and
-  timed below q^400, q^1000 and q^20000 the sieve beat division at every
-  one of these levels, by 1.4x to 35x.  Below q^30, where either route
-  takes tens of microseconds, it is within about 10% at N = 3, 5, 9 and
-  10 and ahead at the others (CHANGES.md).
-* Division.  Delta_1 (a cusp form) and Delta_7 (S_3(Gamma_0(7), chi_-7) is
-  not 0) have no such presentation, and neither has any other quotient
-  (1/Delta_N, products of units, anything the grammar builds).  With g the
-  gcd of the exponents, a quotient prod_m E(q^m)^(e_m) is the g-th power
-  of the narrow quotient prod_m E(q^m)^(e_m / g): its positive factors are
-  powered and multiplied, the product is divided by E(q^m) once per unit
-  of each negative e_m / g, and QSeries.pow raises the result to the g-th
+  qseries.divisor_sums sieves.  Delta_1 = q (eta(tau)^3 q^(-1/8))^8, and
+  Jacobi's eta(tau)^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2 + 1/8) has
+  about sqrt(2n) terms below q^n.  Delta_7 = F^2 with F = eta(7 tau)^7 /
+  eta(tau) in M_3(Gamma_0(7), chi_-7).  That space has dimension 3,
+  spanned by two Eisenstein series and the CM form eta(tau)^3 eta(7 tau)^3
+  of Q(sqrt -7), which is Theta / 8 for the theta series
+  Theta = sum_{u = v mod 2} (u^2 - 7 v^2) q^((u^2 + 7 v^2) / 4) of the
+  Hecke character alpha -> alpha^2 on Z[(1 + sqrt -7) / 2].  So
+  F = (8 E - Theta) / 64 with E = sum_n sum_{d|n} chi_-7(n/d) d^2 q^n:
+  one divisor sum and one loop over O(n) lattice points.  No cost router
+  is needed: a presentation costs at most O(n log n), a division
+  O(n^(3/2)).
+  Timed below q^400, q^1000 and q^20000, the presentation beat division
+  at every level, by 1.2x to 35x.  Below q^30, where either route takes
+  tens of microseconds, it is within about 10% at N = 3, 5, 9 and 10 and
+  ahead at the others but N = 7, where the sieve's six classes and the
+  lattice loop make it about 30% slower; Delta_7 pulls ahead between
+  q^100 and q^200 (CHANGES.md).
+* Division.  No other quotient has a presentation: 1/Delta_N, products
+  of units, roots such as eta(3 tau)^-1 eta(9 tau)^3, and anything else
+  the grammar builds.  With g the gcd of the exponents, a quotient
+  prod_m E(q^m)^(e_m) is the g-th power of the narrow quotient
+  prod_m E(q^m)^(e_m / g): its positive factors are powered and
+  multiplied, the product is divided by E(q^m) once per unit of each
+  negative e_m / g, and QSeries.pow raises the result to the g-th
   power.  No Euler factor is inverted on its own, so the coefficients of
   every intermediate stay about as wide as the output's (below q^1000,
   E(q)^-8 has coefficients 270 bits wider than Delta_2 = E(q)^-8 E(q^2)^16
@@ -113,9 +126,9 @@ class EtaQuotient(namedtuple("EtaQuotient", "factors")):
         return Fraction(sum(m * e for m, e in self.factors), 24)
 
     def expand(self, prec) -> QSeries:
-        """q-expansion below exponent prec: by the divisor-sum kernel when
-        the quotient is Delta_N^j, j >= 1, for a level N with a presentation,
-        else by division (module docstring)."""
+        """q-expansion below exponent prec: from Delta_N's presentation
+        when the quotient is Delta_N^j, j >= 1, else by division (module
+        docstring)."""
         s = self.lead_exponent
         if s.denominator not in (1, 2):
             raise FractionalExponent(
@@ -170,40 +183,81 @@ def _divided(factors, g: int, rel: int) -> QSeries:
     return QSeries._make(1, 0, nums, 1, rel)
 
 
-class LevelUnit(namedtuple("LevelUnit", "level rho nu quotient terms divisor power")):
+def _add_eta_cube(out: list, c: int) -> None:
+    """Add c times Jacobi's eta(tau)^3 q^(-1/8) = sum_{n>=0} (-1)^n (2n+1)
+    q^(n(n+1)/2) to the int list out, below q^len(out), written term by
+    term as euler_product writes E(q^m)."""
+    top = len(out)
+    # x = (-1)^n (2n+1) c at e = n(n+1)/2
+    n, e, x = 0, 0, c
+    while e < top:
+        out[e] += x
+        n += 1
+        e += n
+        x = -x - 2 * c if n % 2 else -x + 2 * c
+
+
+def _add_theta_7(out: list, c: int) -> None:
+    """Add c times Theta = sum_{u = v mod 2} (u^2 - 7 v^2) q^((u^2 + 7 v^2) / 4),
+    over the lattice points (u, v) of Z^2, to the int list out, below
+    q^len(out).  Theta = 8 eta(tau)^3 eta(7 tau)^3 (module docstring)."""
+    top = 4 * len(out)
+    v = b = 0
+    while b < top:
+        # w counts (u, v) and (u, -v); a u > 0 counts (-u, +-v) too
+        w = 2 * c if v else c
+        if v % 2 == 0:
+            out[b >> 2] -= w * b
+        for u in range(2 - v % 2, math.isqrt(top - 1 - b) + 1, 2):
+            a = u * u
+            out[(a + b) >> 2] += 2 * w * (a - b)
+        v += 1
+        b = 7 * v * v
+
+
+class LevelUnit(
+    namedtuple("LevelUnit", "level rho nu quotient terms divisor power theta", defaults=((),))
+):
     """The distinguished cusp form Delta_N: weight rho, valuation nu, its
-    eta-quotient presentation, and its divisor-sum presentation
+    eta-quotient presentation, and the presentation
 
-        Delta_N = (sum over terms of c D(chi, psi, k, t) / divisor)^power
+        Delta_N = q^(nu - power v) ((S + T) / divisor)^power,
 
-    (qseries.divisor_sums), with power 1 or 2; no terms when Delta_N has
-    none (N = 1, 7)."""
+    with v = floor(nu / power), S the sum over terms of c D(chi, psi, k, t)
+    (qseries.divisor_sums) and T the sum over the (c, add) pairs of theta
+    of c times the series that add(out, c) adds to a list: Jacobi's series
+    at N = 1 (power 8, no terms) and Theta at N = 7, and none at the other
+    levels (module docstring)."""
 
     __slots__ = ()
 
     def root(self, rel: int) -> QSeries:
-        """The power-th root of Delta_N over its leading q^(nu / power),
-        from q^0 to rel terms, by the divisor-sum kernel."""
+        """(S + T) / divisor, the power-th root of Delta_N over
+        q^(nu / power - v), from q^v to rel terms, shifted to q^0."""
         v = self.nu // self.power
         nums = divisor_sums(self.terms, v + rel)
+        for c, add in self.theta:
+            add(nums, c)
         return QSeries._make(1, 0, nums[v:], self.divisor, rel)
 
 
-def _unit(level, factors, terms=(), divisor=1, power=1) -> LevelUnit:
+def _unit(level, factors, terms=(), divisor=1, power=1, theta=()) -> LevelUnit:
     """Delta_N from its eta quotient, which fixes its weight and valuation,
-    and its divisor-sum presentation, if it has one."""
+    and its presentation."""
     q = EtaQuotient(factors)
-    return LevelUnit(level, int(q.weight), int(q.lead_exponent), q, tuple(terms), divisor, power)
+    return LevelUnit(
+        level, int(q.weight), int(q.lead_exponent), q, tuple(terms), divisor, power, tuple(theta)
+    )
 
 
 # the characters of the presentations, as their values over one period:
 # the trivial character, the principal characters mod 2 and mod 3, and the
-# Kronecker symbols (-3/.) and (5/.)
+# Kronecker symbols (-3/.), (5/.) and (-7/.)
 _ONE, _CHI2, _CHI3 = (1,), (0, 1), (0, 1, 1)
-_CHI_M3, _CHI_5 = (0, 1, -1), (0, 1, -1, -1, 1)
+_CHI_M3, _CHI_5, _CHI_M7 = (0, 1, -1), (0, 1, -1, -1, 1), (0, 1, 1, -1, 1, -1, -1)
 
 DELTA_TABLE = {
-    1: _unit(1, [(1, 24)]),
+    1: _unit(1, [(1, 24)], power=8, theta=[(1, _add_eta_cube)]),
     2: _unit(2, [(1, -8), (2, 16)], [(1, _CHI2, _ONE, 4, 1)]),
     3: _unit(3, [(1, -6), (3, 18)], [(1, _CHI_M3, _ONE, 3, 1)], power=2),
     4: _unit(4, [(2, -4), (4, 8)], [(1, _CHI2, _CHI2, 2, 1)]),
@@ -213,7 +267,14 @@ DELTA_TABLE = {
         [(1, 2), (2, -4), (3, -6), (6, 12)],
         [(1, _ONE, _ONE, 2, 2), (-2, _ONE, _ONE, 2, 3), (1, _ONE, _ONE, 2, 6)],
     ),
-    7: _unit(7, [(1, -2), (7, 14)]),
+    7: _unit(
+        7,
+        [(1, -2), (7, 14)],
+        [(8, _CHI_M7, _ONE, 3, 1)],
+        divisor=64,
+        power=2,
+        theta=[(-1, _add_theta_7)],
+    ),
     8: _unit(8, [(4, -4), (8, 8)], [(1, _CHI2, _CHI2, 2, 2)]),
     9: _unit(
         9,
@@ -233,12 +294,10 @@ DELTA_TABLE = {
     ),
 }
 
-# narrow quotient -> (unit, exponent gcd of its quotient), for the units
-# that have a divisor-sum presentation
+# narrow quotient -> (unit, exponent gcd of its quotient)
 _PRESENTED = {
     narrow: (u, g)
     for u in DELTA_TABLE.values()
-    if u.terms
     for g, narrow in [_narrow(u.quotient.factors)]
 }
 

@@ -34,7 +34,8 @@ series in q^t, work on the compressed lists and spread the result back.
 Divisor sums sum_{d|n} chi(n/d) psi(d) d^(k-1), for periodic chi and psi,
 come from one sieve, divisor_sums, in O(n log n) with no product and no
 division: several such sums at once, merged by residue class before the
-sieve.  eta expands eight of the ten level units Delta_N from it, and the
+sieve.  eta expands nine of the ten level units Delta_N from it, Delta_7
+with a theta series beside it (Delta_1 comes from Jacobi's series), and the
 torsion values (weierstrass.wp_hat and wpt_hat, and inv_sin2 here) are
 divisor sums too, chi the indicator of a class of c.  sigma_series, its
 case chi = psi = 1 with one term, keeps a loop of its own, which is faster

@@ -370,15 +370,15 @@ def test_delta_kernels_stay_near_the_output_width(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the divisor-sum route against the division route
+# the presentations against the division route
 # ---------------------------------------------------------------------------
 
-PRESENTED = [n for n, u in DELTA_TABLE.items() if u.terms]
+PRESENTED = [n for n, u in DELTA_TABLE.items() if u.terms or u.theta]
 
 
 def division_route(quotient, bound):
     """The quotient expanded by the division helper alone, as expand does
-    for a quotient with no divisor-sum presentation."""
+    for a quotient with no presentation."""
     s = quotient.lead_exponent
     rel = math.ceil(Fraction(bound) - s)
     if rel <= 0:
@@ -399,21 +399,26 @@ def sturm_bound(n):
 
 
 def test_the_presented_levels():
-    assert PRESENTED == [2, 3, 4, 5, 6, 8, 9, 10]
+    assert PRESENTED == list(range(1, 11))
     for n in PRESENTED:
         u = level_unit(n)
-        assert u.power in (1, 2) and u.divisor >= 1 and u.nu % u.power == 0, n
-    assert (level_unit(1).terms, level_unit(7).terms) == ((), ())
-    assert [sturm_bound(n) for n in PRESENTED] == [2, 3, 2, 3, 3, 3, 3, 7]
+        assert u.power in (1, 2, 8) and u.divisor >= 1, n
+        # the root starts at q^0 with coefficient 1
+        root = u.root(5)
+        assert (root.val, root.leading) == (0, 1), n
+    assert [(n, u.power) for n, u in DELTA_TABLE.items() if u.theta] == [(1, 8), (7, 2)]
+    assert level_unit(1).terms == ()
+    assert [sturm_bound(n) for n in PRESENTED] == [2, 2, 3, 2, 3, 3, 5, 3, 3, 7]
 
 
 @pytest.mark.parametrize("n", PRESENTED)
 def test_the_divisor_sum_route_matches_the_division_route(n):
-    """Delta_N, Delta_N^2 and Delta_N^3 by both routes, field by field.  Both
-    sides are forms of M_(j rho)(Gamma_0(N)), whose Sturm bound
-    floor(j rho mu(N) / 12) + 1 is at most 7 j <= 21 here (at j = 1: 2, 3,
-    2, 3, 3, 3, 3 and 7), so agreement below q^2000 proves each
-    presentation rather than samples it."""
+    """Delta_N, Delta_N^2 and Delta_N^3 from the presentation and by
+    division, field by field.  Both sides are forms of
+    M_(j rho)(Gamma_0(N)), whose Sturm bound floor(j rho mu(N) / 12) + 1 is
+    at most 7 j <= 21 here (at j = 1: 2, 2, 3, 2, 3, 3, 5, 3, 3 and 7), so
+    agreement below q^2000 proves each presentation rather than samples
+    it."""
     u = level_unit(n)
     for j in (1, 2, 3):
         quotient = EtaQuotient([(m, e * j) for m, e in u.quotient.factors])
@@ -421,27 +426,63 @@ def test_the_divisor_sum_route_matches_the_division_route(n):
             assert fields(quotient.expand(bound)) == fields(division_route(quotient, bound)), (j, bound)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 30, 401, 2000])
+def test_jacobis_series_is_the_cube_of_the_euler_function(n):
+    """eta(tau)^3 q^(-1/8) = sum (-1)^k (2k+1) q^(k(k+1)/2), added c times
+    onto what the list holds."""
+    cube = list(euler_product(1, n).pow(3).nums) if n else []
+    out = [0] * n
+    eta._add_eta_cube(out, 1)
+    assert out == cube
+    out = list(range(n))
+    eta._add_eta_cube(out, -3)
+    assert out == [i - 3 * x for i, x in enumerate(cube)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 30, 401, 2000])
+def test_the_theta_series_of_q_sqrt_minus_7_is_eight_eta_products(n):
+    """Theta = 8 eta(tau)^3 eta(7 tau)^3 below q^n, the right side by
+    division.  Both are forms of M_3(Gamma_0(7), chi_-7), whose Sturm bound
+    is 3, so agreement below q^3 already proves the identity."""
+    product = division_route(EtaQuotient([(1, 3), (7, 3)]), n)
+    out = [0] * n
+    eta._add_theta_7(out, 1)
+    assert QSeries.build(1, 0, out, n) == product.scale(8)
+    out = list(range(n))
+    eta._add_theta_7(out, -1)
+    assert QSeries.build(1, 0, [i - x for i, x in enumerate(out)], n) == product.scale(8)
+
+
 def test_the_kernel_takes_exactly_the_powers_of_presented_units(monkeypatch):
-    calls = []
-    real = eta.divisor_sums
+    """Delta_N^j expands from the presentation for j >= 1 and by division
+    otherwise; nothing else takes the presentation."""
+    roots, divided = [], []
+    real_root, real_divided = eta.LevelUnit.root, eta._divided
 
-    def kernel(terms, n):
-        calls.append(n)
-        return real(terms, n)
+    def root(self, rel):
+        roots.append(rel)
+        return real_root(self, rel)
 
-    monkeypatch.setattr(eta, "divisor_sums", kernel)
+    def division(*args):
+        divided.append(args)
+        return real_divided(*args)
+
+    monkeypatch.setattr(eta.LevelUnit, "root", root)
+    monkeypatch.setattr(eta, "_divided", division)
     two = DELTA_TABLE[2].quotient.factors
     for n, u in DELTA_TABLE.items():
         for j in (1, 2, 3, -1):
-            calls.clear()
+            roots.clear()
+            divided.clear()
             EtaQuotient([(m, e * j) for m, e in u.quotient.factors]).expand(40)
-            assert bool(calls) == (j > 0 and n in PRESENTED), (n, j)
+            assert (bool(roots), bool(divided)) == (j > 0, j < 0), (n, j)
     # the square roots of Delta_2 and Delta_9, and Delta_2 times Delta_4,
     # take the division route
     for factors in ([(m, e // 2) for m, e in two], [(3, -1), (9, 3)], list(two) + [(2, -4), (4, 8)]):
-        calls.clear()
+        roots.clear()
+        divided.clear()
         EtaQuotient(factors).expand(40)
-        assert not calls, factors
+        assert not roots and divided, factors
 
 
 # ---------------------------------------------------------------------------
