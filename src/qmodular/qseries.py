@@ -14,7 +14,9 @@ coefficients as ints and Fractions.  Sums and scalar multiples go through
 one kernel, lincomb.  A product takes one of two paths.  When either
 operand has at most _KRONECKER_MIN nonzero terms, a schoolbook loop
 multiplies term by term, skipping zeros.  Otherwise the numerators are
-packed into big ints (Kronecker substitution), evaluated at the two
+packed into big ints (Kronecker substitution), one slot of k bytes each,
+written and read in C (struct at k = 1, 2, 4 and 8, one int.to_bytes or
+int.from_bytes call a slot at the other widths), evaluated at the two
 points 2^N and -2^N, and two CPython multiplications of half the packed
 length give the even and the odd coefficients of the product.  A power
 runs Miller's recurrence or binary powering by Kronecker products,
@@ -71,6 +73,13 @@ HALF = Fraction(1, 2)
 _KRONECKER_MIN = 32
 
 
+# struct codes of the slot widths that are machine words; every other
+# width packs and reads its slots one int.to_bytes / int.from_bytes call each
+_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_to_bytes = int.to_bytes
+_from_bytes = int.from_bytes
+
+
 def _bias(slots: int, k: int) -> int:
     """The int holding 2^(8k - 1), half a slot, in each of `slots` k-byte
     slots."""
@@ -93,8 +102,15 @@ def _kronecker(a, b, n: int) -> list:
     k-byte slots again.  Those are the coefficients of the one-point
     packing, so the same slot width bounds them: k is wide enough for
     |h_j| = |sum_i a_i b_(j-i)| < min(len a, len b) * max|a| * max|b| with
-    a sign bit to spare.  A slot is packed and read with half a slot added,
-    so every slot is nonnegative and no borrow crosses into the next one."""
+    a sign bit to spare.
+
+    Slots are written and read in C, in two's complement: by struct at the
+    word widths 1, 2, 4 and 8 bytes, one to_bytes or from_bytes call a slot
+    at the others.  One XOR with the bias, half a slot in every slot, turns
+    the packed slots into the biased form, x + 2^(8k - 1) in each, whose
+    slots are nonnegative, so no borrow crosses into the next one: a packed
+    list is its biased form less the bias, and a product plus the bias,
+    cut to its slots, is the biased form of its coefficients."""
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
@@ -102,12 +118,25 @@ def _kronecker(a, b, n: int) -> list:
         + 1
     )
     k = (bits + 7) // 8
-    half = 1 << (8 * k - 1)
     shift = 4 * k
+    code = _WORD_CODES.get(k)
+    if code:
+        import struct
+    biases = {}
+
+    def bias(slots: int) -> int:
+        """_bias(slots, k), built once a call."""
+        if slots not in biases:
+            biases[slots] = _bias(slots, k)
+        return biases[slots]
 
     def pack(xs) -> int:
-        raw = b"".join([(x + half).to_bytes(k, "little") for x in xs])
-        return int.from_bytes(raw, "little") - _bias(len(xs), k)
+        if code:
+            raw = struct.pack("<%d%s" % (len(xs), code), *xs)
+        else:
+            raw = b"".join([_to_bytes(x, k, "little", signed=True) for x in xs])
+        h = bias(len(xs))
+        return (_from_bytes(raw, "little") ^ h) - h
 
     def at_points(xs) -> tuple:
         """(f(2^N), f(-2^N)) for the list xs."""
@@ -115,10 +144,12 @@ def _kronecker(a, b, n: int) -> list:
         odd = pack(xs[1::2]) << shift
         return even + odd, even - odd
 
-    def unpack(v: int, slots: int) -> list:
-        low = (v + _bias(slots, k)) & ((1 << (8 * k * slots)) - 1)
-        raw = low.to_bytes(k * slots, "little")
-        return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, k * slots, k)]
+    def unpack(v: int, slots: int):
+        h = bias(slots)
+        raw = (((v + h) & ((1 << (8 * k * slots)) - 1)) ^ h).to_bytes(k * slots, "little")
+        if code:
+            return struct.unpack("<%d%s" % (slots, code), raw)
+        return [_from_bytes(raw[i : i + k], "little", signed=True) for i in range(0, k * slots, k)]
 
     xp, xm = at_points(a)
     if b is a:
@@ -526,11 +557,11 @@ class QSeries:
 
         Miller's recurrence makes about nnz L small products.  Binary
         powering makes steps Kronecker products; each is costed as
-        (L + 16)(n b + 256) / 32, linear in the slots and in the width of
-        the result's coefficients, about n b bits, which Miller's products
-        hardly feel.  So n >= 2 squares when
+        (5 L + 128)(n b + 224) / 224, linear in the slots and in the width
+        of the result's coefficients, about n b bits, which Miller's
+        products hardly feel.  So n >= 2 squares when
 
-            32 nnz L > steps (L + 16) (n b + 256).
+            224 nnz L > steps (5 L + 128) (n b + 224).
 
         b stands in for the widest coefficient, which would cost a pass
         over the numerators: the series here grow along their length, and
@@ -543,14 +574,14 @@ class QSeries:
             return False
         steps = n.bit_length() + n.bit_count() - 2
         nnz = len(f) - f.count(0)
-        # 32 nnz L / (L + 16) grows with L, and L <= len(f): when it is at
-        # most 256 steps even at len(f), no width lets squaring win
-        if 32 * nnz * len(f) <= 256 * steps * (len(f) + 16):
+        # nnz L / (5 L + 128) grows with L, and L <= len(f): when it is at
+        # most steps even at len(f), no width lets squaring win
+        if nnz * len(f) <= steps * (5 * len(f) + 128):
             return False
         f = f[:: _stride(f) or len(f)]
         size = len(f)
         width = n * max(abs(f[0]), abs(f[-1])).bit_length()
-        return 32 * nnz * size > steps * (size + 16) * (width + 256)
+        return 224 * nnz * size > steps * (5 * size + 128) * (width + 224)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the leading coefficient must be known."""
